@@ -7,11 +7,23 @@ discrepancy between the model's predictions on generated interventional
 datasets, averaged over sensitive-level pairs (and over intervention
 contexts and candidate-graph groups where present). Unfairness at evaluation
 time is the same MMD^2 average computed on ground-truth interventional data.
+
+One kernel serves the training penalty, the validation pass, evaluation and
+``mmd2``: ``_context_mmd2`` takes the predictions for every level of one
+context and builds each self block K_ii and each cross block K_ij (i < j)
+once, L + L(L-1)/2 blocks for L levels instead of three per level pair. The
+gradient with respect to each level's predictions comes from the same
+blocks; the validation pass and evaluation take the value-only path. Blocks
+are built in cache-sized row chunks with two reused buffers. Precision
+policy: only gradient blocks with more than 65536 entries are evaluated in
+float32; every value-only block and every smaller gradient block is float64.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import json
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations, groupby
@@ -46,6 +58,14 @@ class TrainConfig:
     seeds: tuple[int, ...] = (0,)
     bandwidth_mode: str | float = "median"
     binary_outcome: bool = False
+
+    def __post_init__(self):
+        mode = self.bandwidth_mode
+        number = isinstance(mode, (int, float)) and not isinstance(mode, bool)
+        if mode != "median" and not (number and math.isfinite(mode) and mode > 0):
+            raise ValueError(
+                f"bandwidth_mode must be 'median' or a positive finite number, got {mode!r}"
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
@@ -92,9 +112,7 @@ class FairPredictor:
     best_epoch: int = 0
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        hidden = np.tanh(x @ self.weights["w1"] + self.weights["b1"])
-        raw = (hidden @ self.weights["w2"] + self.weights["b2"]).ravel()
-        return expit(raw) if self.binary_outcome else raw
+        return _forward(self.weights, x, self.binary_outcome)[0]
 
     def predict(self, data: Dataset) -> np.ndarray:
         return self.predict_matrix(data.matrix(self.features))
@@ -131,6 +149,89 @@ class FairPredictor:
 
 # -- MMD -----------------------------------------------------------------------
 
+# Gradient blocks with more entries than this are evaluated in float32: the
+# training loop only needs gradient direction, and halving the memory traffic
+# roughly doubles throughput. Smaller gradient blocks and every value-only
+# block (validation, evaluation, ``mmd2``) stay in float64.
+_FLOAT32_BLOCK = 65536
+# Kernel blocks are built in row chunks of about this many entries, so the
+# chunk buffers stay in cache instead of each block allocating several
+# block-sized temporaries.
+_CHUNK_ENTRIES = 32768
+
+
+def _kernel_block(pa, pb, sigma, want_grads, symmetric):
+    """Mean of the Gaussian kernel block K[k, l] = exp(-(pa[k] - pb[l])^2 / sigma).
+
+    With ``want_grads`` also returns the row sums of (pa[k] - pb[l]) K[k, l]
+    and, unless the block is a self block (``symmetric``), the column sums,
+    both in float64. The block is built in row chunks of about
+    ``_CHUNK_ENTRIES`` entries, in two buffers reused for every chunk: the
+    differences, which then hold the product, and the kernel.
+    """
+    big = want_grads and len(pa) * len(pb) > _FLOAT32_BLOCK
+    dtype = np.float32 if big else np.float64
+    pa = pa.astype(dtype, copy=False)
+    pb = pb.astype(dtype, copy=False)
+    scale = dtype(-1.0 / sigma)
+    step = min(len(pa), max(1, _CHUNK_ENTRIES // len(pb)))
+    # Row 0 of ``diff`` carries the column sums of the chunks before, so that
+    # summing over axis 0 adds rows in the order one pass over the block would.
+    diff = np.empty((step + 1, len(pb)), dtype)
+    kern = np.empty((step, len(pb)), dtype)
+    total = 0.0
+    rows = np.empty(len(pa)) if want_grads else None
+    cols = None
+    for start in range(0, len(pa), step):
+        chunk = pa[start:start + step]
+        d = diff[1:1 + len(chunk)]
+        k = kern[: len(chunk)]
+        np.subtract.outer(chunk, pb, out=d)
+        np.multiply(d, d, out=k)
+        k *= scale
+        np.exp(k, out=k)
+        total += float(k.sum())
+        if want_grads:
+            d *= k
+            rows[start:start + len(chunk)] = d.sum(axis=1)
+            if not symmetric:
+                cols = diff[int(start == 0):1 + len(chunk)].sum(axis=0)
+                diff[0] = cols
+    mean = total / (len(pa) * len(pb))
+    if cols is not None:
+        cols = cols.astype(np.float64)
+    return mean, rows, cols
+
+
+def _context_mmd2(preds, sigma, want_grads=False):
+    """Mean MMD^2 over all level pairs of one context, and optionally its
+    gradient with respect to each level's predictions.
+
+    Each self block K_ii and each cross block K_ij (i < j) is built once: with
+    L levels and P = L(L-1)/2 pairs the value is
+    [(L-1) sum_i mean K_ii - 2 sum_{i<j} mean K_ij] / P, and the gradients
+    follow from the same blocks. Returns ``(value, grads)``; ``grads`` is None
+    unless ``want_grads``.
+    """
+    levels = len(preds)
+    pairs = levels * (levels - 1) // 2
+    sizes = [len(p) for p in preds]
+    self_sum = cross_sum = 0.0
+    grads = [np.zeros(n) for n in sizes] if want_grads else None
+    for i in range(levels):
+        mean, rows, _ = _kernel_block(preds[i], preds[i], sigma, want_grads, True)
+        self_sum += mean
+        if want_grads:
+            grads[i] -= (4.0 * (levels - 1) / (pairs * sigma * sizes[i] ** 2)) * rows
+    for i, j in combinations(range(levels), 2):
+        mean, rows, cols = _kernel_block(preds[i], preds[j], sigma, want_grads, False)
+        cross_sum += mean
+        if want_grads:
+            scale = 4.0 / (pairs * sigma * sizes[i] * sizes[j])
+            grads[i] += scale * rows
+            grads[j] -= scale * cols
+    return ((levels - 1) * self_sum - 2.0 * cross_sum) / pairs, grads
+
 
 def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: float) -> float:
     """Biased squared maximum mean discrepancy with kernel exp(-d^2/bandwidth)."""
@@ -138,40 +239,16 @@ def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: float) -> float:
     pb = np.asarray(yb, dtype=float).ravel()
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("samples must be nonempty")
-    kaa = np.exp(-((pa[:, None] - pa[None, :]) ** 2) / bandwidth)
-    kbb = np.exp(-((pb[:, None] - pb[None, :]) ** 2) / bandwidth)
-    kab = np.exp(-((pa[:, None] - pb[None, :]) ** 2) / bandwidth)
-    return float(kaa.mean() + kbb.mean() - 2.0 * kab.mean())
+    return _context_mmd2([pa, pb], bandwidth)[0]
 
 
-def _mmd2_value_grad(pa: np.ndarray, pb: np.ndarray, sigma: float):
-    """MMD^2 and its gradients with respect to both prediction vectors.
-
-    Large kernel matrices are evaluated in float32: the training loop only
-    needs gradient direction, and halving the memory traffic roughly doubles
-    throughput. Small inputs stay in float64 so the estimator itself is
-    full precision.
-    """
-    dtype = np.float32 if len(pa) * len(pb) > 65536 else np.float64
-    pa32 = pa.astype(dtype, copy=False)
-    pb32 = pb.astype(dtype, copy=False)
-    inv = dtype(1.0 / sigma)
-    daa = pa32[:, None] - pa32[None, :]
-    dbb = pb32[:, None] - pb32[None, :]
-    dab = pa32[:, None] - pb32[None, :]
-    kaa = np.exp(-(daa * daa) * inv)
-    kbb = np.exp(-(dbb * dbb) * inv)
-    kab = np.exp(-(dab * dab) * inv)
-    na, nb = len(pa), len(pb)
-    value = float(kaa.mean()) + float(kbb.mean()) - 2.0 * float(kab.mean())
-    grad_ab = (dab * kab).sum(axis=1).astype(np.float64)
-    ga = (-4.0 / (sigma * na * na)) * (daa * kaa).sum(axis=1).astype(np.float64) + (
-        4.0 / (sigma * na * nb)
-    ) * grad_ab
-    gb = (-4.0 / (sigma * nb * nb)) * (dbb * kbb).sum(axis=1).astype(np.float64) - (
-        4.0 / (sigma * na * nb)
-    ) * (dab * kab).sum(axis=0).astype(np.float64)
-    return value, ga, gb
+@functools.lru_cache(maxsize=8)
+def _upper_flat_index(n: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of an n x n matrix, row-major."""
+    rows, cols = np.triu_indices(n, k=1)
+    flat = rows * n + cols
+    flat.flags.writeable = False
+    return flat
 
 
 def median_bandwidth(values: np.ndarray, cap: int = 512) -> float:
@@ -181,9 +258,15 @@ def median_bandwidth(values: np.ndarray, cap: int = 512) -> float:
         v = v[np.linspace(0, len(v) - 1, cap).astype(int)]
     if len(v) < 2:
         return 1.0
-    d2 = (v[:, None] - v[None, :]) ** 2
-    upper = d2[np.triu_indices(len(v), k=1)]
-    med = float(np.median(upper))
+    upper = np.subtract.outer(v, v).ravel()[_upper_flat_index(len(v))]
+    np.square(upper, out=upper)
+    if np.isnan(upper).any():
+        return 1.0  # as np.median and the mean would give NaN
+    # np.median's partition at three positions is several times slower than
+    # one partition and a max; the result is the same.
+    half = len(upper) // 2
+    part = np.partition(upper, half)
+    med = float(part[half] if len(upper) % 2 else (part[:half].max() + part[half]) / 2)
     if med > 0:
         return med
     mean = float(upper.mean())
@@ -318,8 +401,36 @@ def _bandwidth(mode: str | float, pooled: np.ndarray) -> float:
     return float(mode)
 
 
-def _penalty_and_grads(params, contexts, binary, bandwidth_mode, want_grads):
-    """Mean MMD^2 over level pairs, contexts and groups, plus parameter grads."""
+def _mmd2_discrepancy(preds, want_grads, bandwidth_mode):
+    """Mean MMD^2 over the level pairs of one context, bandwidth from the
+    pooled predictions in ``"median"`` mode."""
+    sigma = _bandwidth(bandwidth_mode, np.concatenate(preds))
+    return _context_mmd2(preds, sigma, want_grads)
+
+
+def _mean_diff_discrepancy(preds, want_grads):
+    """Mean |difference of level means| over the level pairs of one context;
+    the penalty used in the binary-outcome mode."""
+    pairs = list(combinations(range(len(preds)), 2))
+    total = 0.0
+    grads = [np.zeros_like(p) for p in preds] if want_grads else None
+    for i, j in pairs:
+        delta = preds[i].mean() - preds[j].mean()
+        total += abs(delta)
+        if want_grads:
+            sign = np.sign(delta) / len(pairs)
+            grads[i] += sign / len(preds[i])
+            grads[j] -= sign / len(preds[j])
+    return total / len(pairs), grads
+
+
+def _penalty_and_grads(params, contexts, binary, discrepancy, want_grads):
+    """Mean over contexts (and groups) of ``discrepancy`` on the network's
+    predictions for each level, plus parameter grads when ``want_grads``.
+
+    ``discrepancy(preds, want_grads)`` returns the context's value and, on
+    request, its gradient with respect to each level's predictions.
+    """
     if not contexts:
         return 0.0, None
     total = 0.0
@@ -330,49 +441,11 @@ def _penalty_and_grads(params, contexts, binary, bandwidth_mode, want_grads):
             out, hidden = _forward(params, x, binary)
             preds.append(out)
             hiddens.append(hidden)
-        sigma = _bandwidth(bandwidth_mode, np.concatenate(preds))
-        pairs = list(combinations(range(len(ctx.sets)), 2))
-        weight = 1.0 / (len(contexts) * len(pairs))
-        dpred = [np.zeros_like(p) for p in preds]
-        for i, j in pairs:
-            value, gi, gj = _mmd2_value_grad(preds[i], preds[j], sigma)
-            total += weight * value
-            if want_grads:
-                dpred[i] += weight * gi
-                dpred[j] += weight * gj
+        value, dpreds = discrepancy(preds, want_grads)
+        total += value / len(contexts)
         if want_grads:
-            for (_, x), hidden, out, dout in zip(ctx.sets, hiddens, preds, dpred):
-                g = _backward(params, x, hidden, out, dout, binary)
-                for k in grads:
-                    grads[k] += g[k]
-    return total, grads
-
-
-def _mean_diff_penalty_and_grads(params, contexts, binary, want_grads):
-    """Absolute mean-difference penalty used in the binary-outcome mode."""
-    if not contexts:
-        return 0.0, None
-    total = 0.0
-    grads = _zeros_like_params(params) if want_grads else None
-    for ctx in contexts:
-        preds, hiddens = [], []
-        for _, x in ctx.sets:
-            out, hidden = _forward(params, x, binary)
-            preds.append(out)
-            hiddens.append(hidden)
-        pairs = list(combinations(range(len(ctx.sets)), 2))
-        weight = 1.0 / (len(contexts) * len(pairs))
-        dpred = [np.zeros_like(p) for p in preds]
-        for i, j in pairs:
-            delta = preds[i].mean() - preds[j].mean()
-            total += weight * abs(delta)
-            if want_grads:
-                sign = np.sign(delta)
-                dpred[i] += weight * sign / len(preds[i])
-                dpred[j] -= weight * sign / len(preds[j])
-        if want_grads:
-            for (_, x), hidden, out, dout in zip(ctx.sets, hiddens, preds, dpred):
-                g = _backward(params, x, hidden, out, dout, binary)
+            for (_, x), hidden, out, dout in zip(ctx.sets, hiddens, preds, dpreds):
+                g = _backward(params, x, hidden, out, dout / len(contexts), binary)
                 for k in grads:
                     grads[k] += g[k]
     return total, grads
@@ -389,13 +462,14 @@ def _objective_and_grads(
         grads = _backward(params, x, hidden, out, 2.0 * resid / len(y), binary)
     if lam > 0 and contexts:
         if binary:
-            pen, pen_grads = _mean_diff_penalty_and_grads(
-                params, contexts, binary, want_grads
-            )
+            discrepancy = _mean_diff_discrepancy
         else:
-            pen, pen_grads = _penalty_and_grads(
-                params, contexts, binary, bandwidth_mode, want_grads
+            discrepancy = functools.partial(
+                _mmd2_discrepancy, bandwidth_mode=bandwidth_mode
             )
+        pen, pen_grads = _penalty_and_grads(
+            params, contexts, binary, discrepancy, want_grads
+        )
         value += lam * pen
         if want_grads:
             for k in grads:
@@ -494,11 +568,11 @@ def evaluate(
     pred = model.predict(obs_test)
     rmse = float(np.sqrt(((pred - obs_test.columns[outcome]) ** 2).mean()))
     contexts = _prepare_contexts(truth_interventional, model.features, "test")
-    total = 0.0
-    for ctx in contexts:
-        preds = [model.predict_matrix(x) for _, x in ctx.sets]
-        sigma = _bandwidth(bandwidth_mode, np.concatenate(preds))
-        pairs = list(combinations(range(len(preds)), 2))
-        for i, j in pairs:
-            total += mmd2(preds[i], preds[j], sigma) / (len(contexts) * len(pairs))
-    return EvalRecord(rmse=rmse, mmd2=total, lam=model.lam, seed=model.seed)
+    unfairness, _ = _penalty_and_grads(
+        model.weights,
+        contexts,
+        model.binary_outcome,
+        functools.partial(_mmd2_discrepancy, bandwidth_mode=bandwidth_mode),
+        want_grads=False,
+    )
+    return EvalRecord(rmse=rmse, mmd2=unfairness, lam=model.lam, seed=model.seed)

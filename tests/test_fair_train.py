@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,10 @@ from fairmpdag import (
 )
 from fairmpdag.fair_train import (
     _Context,
+    _context_mmd2,
     _forward,
     _init_params,
-    _mmd2_value_grad,
+    _kernel_block,
     _objective_and_grads,
     _prepare_contexts,
 )
@@ -74,25 +77,60 @@ class TestMmd2:
             mmd2([], [1.0], 1.0)
 
 
+class TestContextMmd2:
+    @pytest.mark.parametrize("sizes", [(7, 12), (5, 9, 14), (3, 8, 6, 11)])
+    def test_equals_per_pair_naive_sum(self, sizes):
+        rng = np.random.default_rng(233 + len(sizes))
+        preds = [rng.normal(loc=0.3 * i, size=n) for i, n in enumerate(sizes)]
+        sigma = 1.1
+        pairs = list(combinations(range(len(preds)), 2))
+        want = sum(naive_mmd2(preds[i], preds[j], sigma) for i, j in pairs) / len(pairs)
+        value, grads = _context_mmd2(preds, sigma, want_grads=True)
+        assert value == pytest.approx(want, abs=1e-12)
+        assert [len(g) for g in grads] == list(sizes)
+
+    @pytest.mark.parametrize("sizes", [(7, 12), (5, 9, 14), (3, 8, 6, 11)])
+    def test_value_only_path_matches_gradient_path(self, sizes):
+        rng = np.random.default_rng(239)
+        preds = [rng.normal(size=n) for n in sizes]
+        value, grads = _context_mmd2(preds, 0.7)
+        assert grads is None
+        assert value == _context_mmd2(preds, 0.7, want_grads=True)[0]
+
+    def test_chunked_float32_gradient_block_matches_one_pass(self):
+        # 300 x 400 entries: float32 and several row chunks; the row and
+        # column sums must equal those of the whole block built at once
+        rng = np.random.default_rng(241)
+        pa = rng.normal(size=300).astype(np.float32)
+        pb = (rng.normal(size=400) + 0.2).astype(np.float32)
+        sigma = 1.3
+        diff = pa[:, None] - pb[None, :]
+        prod = diff * np.exp(-(diff * diff) * np.float32(1.0 / sigma))
+        _, rows, cols = _kernel_block(pa, pb, sigma, want_grads=True, symmetric=False)
+        assert np.array_equal(rows, prod.sum(axis=1).astype(np.float64))
+        assert np.array_equal(cols, prod.sum(axis=0).astype(np.float64))
+
+
 class TestGradients:
     def test_mmd2_grads_match_finite_differences(self):
         rng = np.random.default_rng(227)
-        pa, pb = rng.normal(size=7), rng.normal(size=5)
+        preds = [rng.normal(size=7), rng.normal(size=5), rng.normal(size=6) + 0.4]
         sigma = 0.9
-        _, ga, gb = _mmd2_value_grad(pa, pb, sigma)
+        pairs = list(combinations(range(len(preds)), 2))
+
+        def pair_mean(ps):
+            return sum(mmd2(ps[i], ps[j], sigma) for i, j in pairs) / len(pairs)
+
+        _, grads = _context_mmd2(preds, sigma, want_grads=True)
         eps = 1e-6
-        for i in range(len(pa)):
-            up, dn = pa.copy(), pa.copy()
-            up[i] += eps
-            dn[i] -= eps
-            fd = (mmd2(up, pb, sigma) - mmd2(dn, pb, sigma)) / (2 * eps)
-            assert ga[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-        for j in range(len(pb)):
-            up, dn = pb.copy(), pb.copy()
-            up[j] += eps
-            dn[j] -= eps
-            fd = (mmd2(pa, up, sigma) - mmd2(pa, dn, sigma)) / (2 * eps)
-            assert gb[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        for level, p in enumerate(preds):
+            for k in range(len(p)):
+                up = [q.copy() for q in preds]
+                dn = [q.copy() for q in preds]
+                up[level][k] += eps
+                dn[level][k] -= eps
+                fd = (pair_mean(up) - pair_mean(dn)) / (2 * eps)
+                assert grads[level][k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_penalized_objective_grad_on_five_parameter_model(self):
         # hidden width 1 over two features: 2 + 1 + 1 + 1 = 5 parameters
@@ -333,8 +371,6 @@ class TestEvaluate:
         ctx = _prepare_contexts(sets, ("A",), "train")
         assert len(ctx) == 1 and len(ctx[0].sets) == 3
         # three unordered level pairs enter the average
-        from itertools import combinations
-
         assert len(list(combinations(range(3), 2))) == 3
 
 
@@ -350,11 +386,28 @@ class TestHelpers:
         assert median_bandwidth(np.array([1.0])) == 1.0
         assert median_bandwidth(np.zeros(10)) == 1.0
         assert median_bandwidth(np.array([0.0, 2.0])) == 4.0
+        assert median_bandwidth(np.array([0.0, np.nan, 1.0, 3.0])) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 511, 512, 2400])
+    def test_median_bandwidth_bit_identical_to_triu_formula(self, n):
+        values = np.random.default_rng(n).normal(size=n)
+        v = values if n <= 512 else values[np.linspace(0, n - 1, 512).astype(int)]
+        d2 = (v[:, None] - v[None, :]) ** 2
+        assert median_bandwidth(values) == float(np.median(d2[np.triu_indices(len(v), 1)]))
 
     def test_train_config_from_json(self):
         cfg = TrainConfig.from_json('{"hidden_width": 8, "lambda_grid": [0, 1], "ignored": 3}')
         assert cfg.hidden_width == 8 and cfg.lambda_grid == (0.0, 1.0)
         assert cfg.lr == TrainConfig().lr
+
+    @pytest.mark.parametrize("mode", ['"mediam"', '"1.5"', "0", "-2.0", "true", "NaN", "Infinity"])
+    def test_train_config_rejects_bad_bandwidth_mode(self, mode):
+        with pytest.raises(ValueError, match="bandwidth_mode"):
+            TrainConfig.from_json(f'{{"bandwidth_mode": {mode}}}')
+
+    def test_train_config_accepts_median_and_positive_bandwidth(self):
+        assert TrainConfig.from_json('{"bandwidth_mode": "median"}').bandwidth_mode == "median"
+        assert TrainConfig.from_json('{"bandwidth_mode": 2}').bandwidth_mode == 2
 
     def test_predictor_json_roundtrip(self):
         p = FairPredictor(
