@@ -8,7 +8,6 @@ generation, and MMD-penalized fair training with an experiment harness.
 
 from .ancestry import (
     AncestralRelation,
-    all_relations_definite,
     ancestral_relation,
     critical_set,
     definite_nondescendants,
@@ -26,7 +25,6 @@ from .causal_ident import (
 from .density_gen import (
     BucketConditional,
     fit_bucket_conditionals,
-    generate_for_unidentifiable,
     generate_interventional,
     models_from_json,
     models_to_json,
@@ -50,16 +48,11 @@ from .graph_core import (
     DirectedCycleError,
     GraphError,
     GraphParseError,
-    PathKind,
     Pdag,
     bucket_decomposition,
-    children,
-    classify_path,
     exists_proper_possibly_causal_path_starting_undirected,
     parents,
     parse_graph,
-    siblings,
-    skeleton,
     unshielded_colliders,
 )
 from .harness import ExperimentConfig, GraphSetting, build_case, run_experiment

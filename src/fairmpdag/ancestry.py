@@ -89,8 +89,3 @@ def definite_nondescendants(g: Pdag, s: str) -> tuple[str, ...]:
         if t != s
         and ancestral_relation(g, s, t) is AncestralRelation.DEFINITE_NON_DESCENDANT
     )
-
-
-def all_relations_definite(g: Pdag, s: str) -> bool:
-    """True iff every ancestral relation of ``s`` is settled: no undirected edge at ``s``."""
-    return not g.siblings_of(s)

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import GraphError, Pdag, bucket_decomposition, parents
+from .graph_core import (
+    GraphError,
+    Pdag,
+    _kahn_order,
+    _successor_lists,
+    bucket_decomposition,
+    parents,
+    unshielded_colliders,
+)
 from .meek_engine import (
     BackgroundKnowledgeConflict,
     MPDAG_RULES,
@@ -86,17 +94,16 @@ def pco(nodes: Iterable[str], g: Pdag) -> CausalOrdering:
     for b, idx in enumerate(members):
         bucket_of[idx] = b
 
-    # Condensation over buckets; directed edges never point within a bucket.
-    succ: list[set[int]] = [set() for _ in range(n_buckets)]
-    pred: list[set[int]] = [set() for _ in range(n_buckets)]
-    for i, j in np.argwhere(g.directed_mask):
-        bi, bj = bucket_of[i], bucket_of[j]
-        if bi != bj:
-            succ[bi].add(bj)
-            pred[bj].add(bi)
+    # Condensation over buckets. A directed edge can join two vertices of one
+    # bucket, so the diagonal is cleared.
+    cond = np.zeros((n_buckets, n_buckets), dtype=bool)
+    tails, heads = np.nonzero(g.directed_mask)
+    cond[bucket_of[tails], bucket_of[heads]] = True
+    np.fill_diagonal(cond, False)
+    succ = _successor_lists(cond)
 
     depth = [0] * n_buckets
-    for b in _condensation_topo_order(succ, pred):
+    for b in _kahn_order(cond):
         for c in succ[b]:
             depth[c] = max(depth[c], depth[b] + 1)
 
@@ -105,26 +112,12 @@ def pco(nodes: Iterable[str], g: Pdag) -> CausalOrdering:
     ordered: list[frozenset[str]] = []
     while remaining:
         b = max(remaining, key=key.__getitem__)
-        assert not (succ[b] & remaining), "picked bucket has outgoing edges"
         remaining.discard(b)
+        assert remaining.isdisjoint(succ[b]), "picked bucket has outgoing edges"
         picked = frozenset(v for v in full[b] if v in node_set)
         if picked:
             ordered.insert(0, picked)
     return CausalOrdering(tuple(ordered))
-
-
-def _condensation_topo_order(succ: list[set[int]], pred: list[set[int]]) -> list[int]:
-    indeg = [len(p) for p in pred]
-    ready = [b for b, d in enumerate(indeg) if d == 0]
-    order: list[int] = []
-    while ready:
-        b = ready.pop()
-        order.append(b)
-        for c in succ[b]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return order
 
 
 def is_identifiable(g: Pdag, intervened: Iterable[str]) -> bool:
@@ -211,7 +204,7 @@ def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
     """
     if g.n > 12:
         raise GraphError("class enumeration guarded to graphs with <= 12 vertices")
-    target = _visible_colliders(g)
+    target = unshielded_colliders(g)
     out: list[Pdag] = []
 
     def descend(dmat: np.ndarray, umat: np.ndarray) -> None:
@@ -221,7 +214,7 @@ def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
                 d = Pdag.from_arrays(g.names, dmat, umat)
             except GraphError:
                 return
-            if _visible_colliders(d) == target:
+            if unshielded_colliders(d) == target:
                 out.append(d)
             return
         i, j = pairs[0]
@@ -237,17 +230,3 @@ def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
 
     descend(g.directed_mask.copy(), g.undirected_mask.copy())
     return out
-
-
-def _visible_colliders(g: Pdag) -> frozenset[tuple[str, str, str]]:
-    """Unshielded colliders among the directed edges of a PDAG."""
-    out = set()
-    dmat, adj = g.directed_mask, g.adjacency_mask
-    for m in range(g.n):
-        pa = np.flatnonzero(dmat[:, m])
-        for ai in range(len(pa)):
-            for bi in range(ai + 1, len(pa)):
-                u, v = pa[ai], pa[bi]
-                if not adj[u, v]:
-                    out.add((g.names[u], g.names[m], g.names[v]))
-    return frozenset(out)

@@ -22,17 +22,9 @@ from .harness import ExperimentConfig, run_experiment
 from .meek_engine import construct_mpdag, cpdag_from_dag, parse_background_knowledge
 
 
-def _load_graph(path: str) -> Pdag:
+def _load(path: str, parse=parse_graph):
     try:
-        return parse_graph(Path(path).read_text())
-    except GraphParseError as exc:
-        line = f":{exc.line}" if exc.line is not None else ""
-        raise SystemExit(f"{path}{line}: {exc}")
-
-
-def _load_bk(path: str):
-    try:
-        return parse_background_knowledge(Path(path).read_text())
+        return parse(Path(path).read_text())
     except GraphParseError as exc:
         line = f":{exc.line}" if exc.line is not None else ""
         raise SystemExit(f"{path}{line}: {exc}")
@@ -43,7 +35,7 @@ def _bucket_text(g: Pdag, bucket) -> str:
 
 
 def cmd_cpdag(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph)
     if not g.is_dag():
         raise SystemExit(f"{args.graph}: input must be fully directed")
     print(cpdag_from_dag(g).to_text(), end="")
@@ -51,8 +43,8 @@ def cmd_cpdag(args) -> int:
 
 
 def cmd_mpdag(args) -> int:
-    g = _load_graph(args.graph)
-    bk = _load_bk(args.background)
+    g = _load(args.graph)
+    bk = _load(args.background, parse_background_knowledge)
     try:
         print(construct_mpdag(g, bk).to_text(), end="")
     except GraphError as exc:
@@ -61,7 +53,7 @@ def cmd_mpdag(args) -> int:
 
 
 def cmd_pco(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph)
     nodes = args.nodes if args.nodes else list(g.names)
     ordering = pco(nodes, g)
     print(" < ".join(_bucket_text(g, b) for b in ordering.buckets))
@@ -69,7 +61,7 @@ def cmd_pco(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph)
     intervened = args.do
     if is_identifiable(g, intervened):
         formula = identification_formula(g, intervened)
@@ -82,7 +74,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph)
     groups = {kind: [] for kind in AncestralRelation}
     for t in g.names:
         if t != args.sensitive:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal_ident import CausalOrdering, IdentificationFormula, identification_formula
+from .causal_ident import CausalOrdering, IdentificationFormula
 from .graph_core import Pdag, parents
 from .scm_lab import SPLIT_82, Dataset, child_rng, split_tags
 
@@ -116,24 +116,6 @@ def generate_interventional(
         for k, v in enumerate(bucket):
             columns[v] = values[:, k]
     return Dataset(columns, split_tags(n, split))
-
-
-def generate_for_unidentifiable(
-    models_per_mpdag: Sequence[Sequence[BucketConditional]],
-    mpdags: Sequence[Pdag],
-    assignments: Mapping[str, float],
-    n: int,
-    seed: int,
-    split=SPLIT_82,
-) -> list[Dataset]:
-    """One interventional dataset per candidate graph, common seed discipline."""
-    if len(models_per_mpdag) != len(mpdags):
-        raise ValueError("need one model set per candidate graph")
-    out = []
-    for models, g in zip(models_per_mpdag, mpdags):
-        formula = identification_formula(g, assignments.keys())
-        out.append(generate_interventional(models, formula, assignments, n, seed, split))
-    return out
 
 
 # -- serialization -------------------------------------------------------------

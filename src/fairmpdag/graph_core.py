@@ -7,7 +7,6 @@ fresh graphs or plain Python values, so values can be shared freely.
 """
 from __future__ import annotations
 
-import enum
 from collections import deque
 from collections.abc import Iterable, Sequence
 
@@ -30,12 +29,6 @@ class GraphParseError(GraphError):
 
 class DirectedCycleError(GraphError):
     """The directed part of the graph contains a cycle."""
-
-
-class PathKind(enum.Enum):
-    CAUSAL = "causal"
-    POSSIBLY_CAUSAL = "possibly_causal"
-    NON_CAUSAL = "non_causal"
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -61,26 +54,37 @@ class Pdag:
         undirected: Iterable[tuple[str, str]] = (),
     ):
         names = tuple(names)
-        if len(set(names)) != len(names):
-            raise GraphError("duplicate vertex names")
         index = {name: i for i, name in enumerate(names)}
-        n = len(names)
-        dmat = np.zeros((n, n), dtype=bool)
-        umat = np.zeros((n, n), dtype=bool)
-        for tail, head in directed:
-            i, j = _lookup(index, tail), _lookup(index, head)
-            if i == j:
-                raise GraphError(f"self-edge at {tail!r}")
-            if dmat[i, j] or dmat[j, i] or umat[i, j]:
-                raise GraphError(f"duplicate edge between {tail!r} and {head!r}")
-            dmat[i, j] = True
-        for a, b in undirected:
+        if len(index) != len(names):
+            raise GraphError("duplicate vertex names")
+        dmat = np.zeros((len(names), len(names)), dtype=bool)
+        umat = np.zeros_like(dmat)
+        edges = [(e, dmat) for e in directed] + [(e, umat) for e in undirected]
+        for (a, b), marks in edges:
             i, j = _lookup(index, a), _lookup(index, b)
             if i == j:
                 raise GraphError(f"self-edge at {a!r}")
-            if dmat[i, j] or dmat[j, i] or umat[i, j]:
+            if dmat[i, j] or dmat[j, i] or umat[i, j] or umat[j, i]:
                 raise GraphError(f"duplicate edge between {a!r} and {b!r}")
-            umat[i, j] = umat[j, i] = True
+            marks[i, j] = True
+        self._set_marks(names, index, dmat, umat | umat.T)
+
+    @classmethod
+    def from_arrays(cls, names: Sequence[str], dmat: np.ndarray, umat: np.ndarray) -> "Pdag":
+        """Fast constructor from mark matrices; validates like __init__."""
+        if (dmat & dmat.T).any() or (dmat & umat).any() or (umat != umat.T).any():
+            raise GraphError("inconsistent mark matrices")
+        if np.diagonal(dmat).any() or np.diagonal(umat).any():
+            raise GraphError("self-edge")
+        names = tuple(names)
+        g = object.__new__(cls)
+        g._set_marks(names, {name: i for i, name in enumerate(names)}, dmat.copy(), umat.copy())
+        return g
+
+    def _set_marks(
+        self, names: tuple[str, ...], index: dict[str, int], dmat: np.ndarray, umat: np.ndarray
+    ) -> None:
+        """Shared tail of both constructors; ``dmat`` and ``umat`` are owned by the graph."""
         self.names = names
         self._index = index
         self._dir = _frozen(dmat)
@@ -89,26 +93,6 @@ class Pdag:
         self._hash: int | None = None
         if _has_directed_cycle(dmat):
             raise DirectedCycleError("directed cycle")
-
-    @classmethod
-    def from_arrays(cls, names: Sequence[str], dmat: np.ndarray, umat: np.ndarray) -> "Pdag":
-        """Fast constructor from mark matrices; validates like __init__."""
-        g = object.__new__(cls)
-        g.names = tuple(names)
-        g._index = {name: i for i, name in enumerate(g.names)}
-        dmat = dmat.copy()
-        umat = umat.copy()
-        if (dmat & dmat.T).any() or (dmat & umat).any() or (umat != umat.T).any():
-            raise GraphError("inconsistent mark matrices")
-        if np.diagonal(dmat).any() or np.diagonal(umat).any():
-            raise GraphError("self-edge")
-        g._dir = _frozen(dmat)
-        g._und = _frozen(umat)
-        g._adj = _frozen(dmat | dmat.T | umat)
-        g._hash = None
-        if _has_directed_cycle(dmat):
-            raise DirectedCycleError("directed cycle")
-        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -154,9 +138,6 @@ class Pdag:
     def siblings_of(self, v: str) -> tuple[str, ...]:
         """Undirected neighbors of ``v``."""
         return self._names_where(self._und[self.index(v), :])
-
-    def neighbors_of(self, v: str) -> tuple[str, ...]:
-        return self._names_where(self._adj[self.index(v), :])
 
     @property
     def directed_edges(self) -> tuple[tuple[str, str], ...]:
@@ -242,15 +223,23 @@ def _has_directed_cycle(dmat: np.ndarray) -> bool:
     return len(_kahn_order(dmat)) != dmat.shape[0]
 
 
+def _successor_lists(dmat: np.ndarray) -> list[list[int]]:
+    """Row ``i`` lists the columns set in ``dmat[i]``, in increasing order."""
+    succ: list[list[int]] = [[] for _ in range(dmat.shape[0])]
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(dmat))):
+        succ[i].append(j)
+    return succ
+
+
 def _kahn_order(dmat: np.ndarray) -> list[int]:
-    n = dmat.shape[0]
-    indeg = dmat.sum(axis=0).astype(int)
-    ready = deque(i for i in range(n) if indeg[i] == 0)
+    succ = _successor_lists(dmat)
+    indeg = dmat.sum(axis=0).tolist()
+    ready = deque(i for i, k in enumerate(indeg) if k == 0)
     order: list[int] = []
     while ready:
         i = ready.popleft()
         order.append(i)
-        for j in np.flatnonzero(dmat[i]):
+        for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 ready.append(j)
@@ -313,58 +302,35 @@ def parse_graph(text: str) -> Pdag:
 # -- structural operations ---------------------------------------------------
 
 
-def skeleton(g: Pdag) -> Pdag:
-    """Same vertices, every edge replaced by an undirected mark."""
-    und = g.undirected_mask | g.directed_mask | g.directed_mask.T
-    return Pdag.from_arrays(g.names, np.zeros_like(und), und)
-
-
-def unshielded_colliders(d: Pdag) -> set[tuple[str, str, str]]:
+def unshielded_colliders(g: Pdag) -> set[tuple[str, str, str]]:
     """All triples (u, mid, v) with u -> mid <- v and u, v nonadjacent.
 
-    Triples are canonicalized with index(u) < index(v). The input must be
-    fully directed.
+    Only directed edges form colliders, so on a PDAG this is the collider set
+    of its directed part; on a DAG it is the usual one. Triples are
+    canonicalized with index(u) < index(v).
     """
-    if not d.is_dag():
-        raise GraphError("graph is not fully directed")
     out: set[tuple[str, str, str]] = set()
-    dmat, adj = d.directed_mask, d.adjacency_mask
-    for m in range(d.n):
+    dmat, adj = g.directed_mask, g.adjacency_mask
+    for m in range(g.n):
         pa = np.flatnonzero(dmat[:, m])
         for ai in range(len(pa)):
             for bi in range(ai + 1, len(pa)):
                 u, v = pa[ai], pa[bi]
                 if not adj[u, v]:
-                    out.add((d.names[u], d.names[m], d.names[v]))
+                    out.add((g.names[u], g.names[m], g.names[v]))
     return out
-
-
-def classify_path(g: Pdag, path: Sequence[str]) -> PathKind:
-    """Classify a path as causal, possibly causal, or non-causal.
-
-    Causal: every step is a forward directed edge. Non-causal: some step is a
-    backward directed edge. Possibly causal: anything else (some undirected
-    steps, none backward).
-    """
-    if len(path) < 2:
-        raise GraphError("path needs at least two vertices")
-    if len(set(path)) != len(path):
-        raise GraphError("path vertices must be distinct")
-    saw_undirected = False
-    for a, b in zip(path, path[1:]):
-        if g.has_directed(b, a):
-            return PathKind.NON_CAUSAL
-        if g.has_undirected(a, b):
-            saw_undirected = True
-        elif not g.has_directed(a, b):
-            raise GraphError(f"{a!r} and {b!r} are not adjacent")
-    return PathKind.POSSIBLY_CAUSAL if saw_undirected else PathKind.CAUSAL
 
 
 def exists_proper_possibly_causal_path_starting_undirected(
     g: Pdag, src: Iterable[str], dst: Iterable[str]
 ) -> bool:
     """Whether a proper possibly-causal path from src to dst starts undirected.
+
+    This is Perkovic's identifiability criterion for MPDAGs (UAI 2020): the
+    effect of src on dst is identifiable iff no such path exists.
+    :func:`fairmpdag.causal_ident.is_identifiable` is this criterion on the
+    prediction-augmented MPDAG, with dst the prediction vertex, which every
+    vertex points into.
 
     Proper: only the first vertex lies in src. The search walks forward along
     directed or undirected steps from each undirected neighbor of src while
@@ -427,11 +393,3 @@ def parents(g: Pdag, nodes: Iterable[str]) -> tuple[str, ...]:
     mask = g.directed_mask[:, node_idx].any(axis=1)
     mask[node_idx] = False
     return tuple(g.names[i] for i in np.flatnonzero(mask))
-
-
-def children(g: Pdag, v: str) -> tuple[str, ...]:
-    return g.children_of(v)
-
-
-def siblings(g: Pdag, v: str) -> tuple[str, ...]:
-    return g.siblings_of(v)

@@ -133,7 +133,9 @@ def meek_closure(g: Pdag, rules: Iterable[MeekRule] = MPDAG_RULES) -> Pdag:
 
 def pattern_of_dag(d: Pdag) -> Pdag:
     """Skeleton of a DAG with exactly the unshielded-collider edges re-directed."""
-    colliders = unshielded_colliders(d)  # validates the input is fully directed
+    if not d.is_dag():
+        raise GraphError("graph is not fully directed")
+    colliders = unshielded_colliders(d)
     n = d.n
     dmat = np.zeros((n, n), dtype=bool)
     for u, mid, v in colliders:

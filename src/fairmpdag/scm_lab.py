@@ -13,8 +13,6 @@ reproducible independently of the others.
 """
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -81,31 +79,6 @@ class Dataset:
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
         return np.column_stack([self.columns[name] for name in names])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(self.columns) + ["split"])
-        cols = list(self.columns.values())
-        for i in range(self.n):
-            writer.writerow([repr(float(col[i])) for col in cols] + [self.split[i]])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header = rows[0]
-        if header[-1] != "split":
-            raise ValueError("expected final 'split' column")
-        body = rows[1:]
-        data = np.array([[float(x) for x in row[:-1]] for row in body])
-        columns = {name: data[:, k] for k, name in enumerate(header[:-1])}
-        return cls(columns, np.array([row[-1] for row in body], dtype="<U8"))
 
 
 # -- models ------------------------------------------------------------------

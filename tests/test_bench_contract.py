@@ -1,0 +1,26 @@
+"""The benchmark in ``perfbench/`` wraps program functions by name.
+
+Each hook replaces ``owner.attr`` through ``vars(owner)[attr]``, so a
+refactor that drops or moves one of those names raises ``KeyError`` when the
+hooks are installed. The untraced probe is installed on every run, so such a
+refactor breaks every benchmark run, not only traced ones.
+"""
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from checks import Probe  # noqa: E402
+from layers import trace_hooks  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+
+def test_every_hooked_name_is_defined_on_its_owner():
+    hooks = trace_hooks(Tracer()) + Probe().hooks()
+    missing = [
+        f"{getattr(h.owner, '__name__', h.owner)}.{h.attr}"
+        for h in hooks
+        if h.attr not in vars(h.owner)
+    ]
+    assert not missing

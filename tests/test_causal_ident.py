@@ -5,9 +5,11 @@ from fairmpdag import (
     GraphError,
     NotIdentifiableError,
     Pdag,
+    augment_with_prediction,
     bucket_decomposition,
     enumerate_dags_in_class,
     enumerate_valid_orientations,
+    exists_proper_possibly_causal_path_starting_undirected,
     identification_formula,
     is_identifiable,
     parents,
@@ -89,6 +91,19 @@ class TestIdentifiable:
         # A -- E lies inside the intervened set and does not hurt
         assert is_identifiable(nine_buckets, ["A", "E"])
         assert not is_identifiable(nine_buckets, ["A"])
+
+    def test_is_perkovic_criterion_on_augmented_graph(self):
+        rng = np.random.default_rng(37)
+        fired = 0
+        for _ in range(200):
+            _, _, g = random_mpdag(rng)
+            s = [v for v in g.names if rng.random() < 0.4]
+            path = exists_proper_possibly_causal_path_starting_undirected(
+                augment_with_prediction(g), s, ["Yhat"]
+            )
+            assert is_identifiable(g, s) == (not path)
+            fired += path
+        assert fired > 0
 
 
 class TestIdentificationFormula:

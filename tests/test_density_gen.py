@@ -5,7 +5,6 @@ from fairmpdag import (
     LinearScm,
     enumerate_valid_orientations,
     fit_bucket_conditionals,
-    generate_for_unidentifiable,
     generate_interventional,
     identification_formula,
     models_from_json,
@@ -150,17 +149,6 @@ class TestNondescendantInvariance:
 
 
 class TestUnidentifiable:
-    def test_singleton_equals_plain_generation(self, two_vertex_fit):
-        _, _, g, models = two_vertex_fit
-        formula = identification_formula(g, ["A"])
-        direct = generate_interventional(models, formula, {"A": 1.0}, 128, seed=113)
-        listed = generate_for_unidentifiable([models], [g], {"A": 1.0}, 128, seed=113)
-        assert len(listed) == 1
-        assert all(
-            np.array_equal(direct.columns[k], listed[0].columns[k])
-            for k in direct.columns
-        )
-
     def test_two_orientations_differ_under_do(self):
         # truth A -> X with strong effect; candidate A <- X severs it
         scm = two_vertex_scm(beta=0.9)
@@ -170,7 +158,10 @@ class TestUnidentifiable:
         models = [
             fit_bucket_conditionals(obs, pco(c.names, c), c) for c in candidates
         ]
-        sets = generate_for_unidentifiable(models, candidates, {"A": 1.0}, 6000, seed=117)
+        sets = [
+            generate_interventional(m, identification_formula(c, ["A"]), {"A": 1.0}, 6000, seed=117)
+            for m, c in zip(models, candidates)
+        ]
         means = sorted(d.columns["X"].mean() for d in sets)
         # f(x) leaves the mean near E[X] ~ 0.45; f(x|a) pushes it to ~0.9
         assert means[1] - means[0] > 0.3

@@ -7,14 +7,11 @@ from fairmpdag import (
     DirectedCycleError,
     GraphError,
     GraphParseError,
-    PathKind,
     Pdag,
     bucket_decomposition,
-    classify_path,
     exists_proper_possibly_causal_path_starting_undirected,
     parents,
     parse_graph,
-    skeleton,
     unshielded_colliders,
 )
 
@@ -83,25 +80,6 @@ class TestParse:
         assert parse_graph(nine_buckets.to_text()) == nine_buckets
 
 
-class TestSkeleton:
-    def test_single_directed_edge(self):
-        g = skeleton(parse_graph("A -> B"))
-        assert g.directed_edges == ()
-        assert g.undirected_edges == (("A", "B"),)
-
-    def test_complete_dag_gives_complete_skeleton(self, star_triangle_dag):
-        g = skeleton(star_triangle_dag)
-        assert len(g.undirected_edges) == 6 and not g.directed_edges
-
-    def test_empty_graph(self):
-        assert skeleton(Pdag(())) == Pdag(())
-
-    @given(small_pdags())
-    @settings(max_examples=60, deadline=None)
-    def test_idempotent(self, g):
-        assert skeleton(skeleton(g)) == skeleton(g)
-
-
 class TestUnshieldedColliders:
     def test_collider(self):
         assert unshielded_colliders(parse_graph("X -> Z\nY -> Z")) == {("X", "Z", "Y")}
@@ -113,33 +91,10 @@ class TestUnshieldedColliders:
         # every collider in a complete graph is shielded
         assert unshielded_colliders(star_triangle_dag) == set()
 
-    def test_rejects_partially_directed(self):
-        with pytest.raises(GraphError, match="fully directed"):
-            unshielded_colliders(parse_graph("A -- B"))
-
-
-class TestClassifyPath:
-    def test_forward_edge_is_causal(self, star_triangle):
-        assert classify_path(star_triangle, ["A", "X1"]) is PathKind.CAUSAL
-
-    def test_undirected_step_is_possibly_causal(self, star_triangle):
-        assert classify_path(star_triangle, ["X1", "X2"]) is PathKind.POSSIBLY_CAUSAL
-
-    def test_backward_edge_is_non_causal(self, star_triangle):
-        assert classify_path(star_triangle, ["X1", "A"]) is PathKind.NON_CAUSAL
-
-    def test_rejects_non_path(self, star_triangle):
-        with pytest.raises(GraphError, match="not adjacent"):
-            classify_path(parse_graph("A -> B\nnode C"), ["A", "C"])
-        with pytest.raises(GraphError, match="distinct"):
-            classify_path(star_triangle, ["A", "X1", "A"])
-
-    @given(small_pdags())
-    @settings(max_examples=60, deadline=None)
-    def test_single_directed_edges(self, g):
-        for a, b in g.directed_edges:
-            assert classify_path(g, [a, b]) is PathKind.CAUSAL
-            assert classify_path(g, [b, a]) is PathKind.NON_CAUSAL
+    def test_pdag_colliders_come_from_directed_edges_only(self):
+        # W - Z and V - X would be colliders at Z and X if they were directed
+        g = parse_graph("X -> Z\nY -> Z\nW -- Z\nV -- X")
+        assert unshielded_colliders(g) == {("X", "Z", "Y")}
 
 
 class TestStartUndirectedPath:

@@ -1,3 +1,6 @@
+import csv
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from fairmpdag.fair_train import TrainConfig, Variant
 from fairmpdag.harness import (
     ExperimentConfig,
     GraphSetting,
+    _dump_predictions,
     build_case,
     run_case,
     run_experiment,
@@ -161,3 +165,25 @@ class TestRunExperiment:
         result = run_experiment(cfg, tmp_path)
         assert any(f["stage"] == "build" for f in result.failures)
         assert "exceed the candidate cap" in result.failures[0]["error"]
+
+
+def test_dump_predictions_matches_csv_writer_bytes(tmp_path):
+    preds = {
+        0.0: np.array([-0.0, 1e-300, 1e16, 0.1, -2.5, 123456.789, np.nan, np.inf]),
+        2.0: np.array([1.0, -1e-7, 5e-324]),
+    }
+    case = SimpleNamespace(
+        truth_sets=[SimpleNamespace(sensitive_value=a, data=a) for a in (0.0, 2.0)]
+    )
+    model = SimpleNamespace(predict=lambda data: preds[data])
+    got = tmp_path / "got.csv"
+    _dump_predictions(got, case, model)
+
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sensitive_value", "prediction"])
+        for s in case.truth_sets:
+            for value in model.predict(s.data):
+                writer.writerow([repr(float(s.sensitive_value)), repr(float(value))])
+    assert got.read_bytes() == expected.read_bytes()

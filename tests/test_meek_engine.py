@@ -88,7 +88,7 @@ class TestPatternAndCpdag:
         assert cpdag_from_dag(d) == parse_graph("X -- Y\nY -- Z")
 
     def test_pattern_rejects_pdag(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="fully directed"):
             pattern_of_dag(parse_graph("A -- B"))
 
     def test_bk_demo_cpdag(self, bk_demo_dag):

@@ -205,17 +205,6 @@ class TestNonlinearSampling:
 
 
 class TestDataset:
-    def test_csv_roundtrip(self, tmp_path):
-        scm = two_vertex_scm()
-        data = sample_observational(scm, 50, seed=79)
-        path = tmp_path / "obs.csv"
-        data.to_csv(path)
-        back = Dataset.from_csv(path)
-        assert back.names == data.names
-        assert np.array_equal(back.split, data.split)
-        for k in data.columns:
-            assert np.array_equal(back.columns[k], data.columns[k])
-
     def test_split_tags_82(self):
         tags = split_tags(1000, SPLIT_82)
         assert (tags == "train").sum() == 800 and (tags == "val").sum() == 200
