@@ -77,12 +77,11 @@ class IdentificationFormula:
 def pco(nodes: Iterable[str], g: Pdag) -> CausalOrdering:
     """Partial causal ordering of ``nodes`` in ``g``.
 
-    Buckets of the full vertex set are stripped one at a time: a bucket is
-    removable when all its edges to the still-remaining vertices point into
-    it, and its intersection with ``nodes`` (when nonempty) is prepended to
-    the output. Among removable buckets the one with the largest
-    (longest-path depth, max vertex index) key is taken, which makes the
-    output deterministic; any tie-break yields a valid ordering.
+    The buckets of the full vertex set are sorted by (longest-path depth in
+    the bucket condensation, max vertex index), and each bucket's
+    intersection with ``nodes`` (when nonempty) is output in that order. The
+    depth makes the order topological; the index makes it deterministic, and
+    any tie-break yields a valid ordering.
     """
     node_set = set(nodes)
     for v in node_set:
@@ -107,16 +106,11 @@ def pco(nodes: Iterable[str], g: Pdag) -> CausalOrdering:
         for c in succ[b]:
             depth[c] = max(depth[c], depth[b] + 1)
 
-    key = {b: (depth[b], members[b][-1]) for b in range(n_buckets)}
-    remaining = set(range(n_buckets))
-    ordered: list[frozenset[str]] = []
-    while remaining:
-        b = max(remaining, key=key.__getitem__)
-        remaining.discard(b)
-        assert remaining.isdisjoint(succ[b]), "picked bucket has outgoing edges"
+    ordered = []
+    for b in sorted(range(n_buckets), key=lambda c: (depth[c], members[c][-1])):
         picked = frozenset(v for v in full[b] if v in node_set)
         if picked:
-            ordered.insert(0, picked)
+            ordered.append(picked)
     return CausalOrdering(tuple(ordered))
 
 

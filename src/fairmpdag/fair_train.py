@@ -8,6 +8,13 @@ datasets, averaged over sensitive-level pairs (and over intervention
 contexts and candidate-graph groups where present). Unfairness at evaluation
 time is the same MMD^2 average computed on ground-truth interventional data.
 
+Every objective works on one stacked row block (``_stack``): the
+observational rows first, then the rows of every (group, context) cell, one
+row slice per sensitive level. Training, validation and evaluation each make
+one forward pass over their block; the penalty turns each cell's prediction
+slices into a value and adds its gradient with respect to the predictions
+into one output gradient, and training then makes one backward pass.
+
 One kernel serves the training penalty, the validation pass, evaluation and
 ``mmd2``: ``_context_mmd2`` takes the predictions for every level of one
 context and builds each self block K_ii and each cross block K_ij (i < j)
@@ -66,6 +73,10 @@ class TrainConfig:
             raise ValueError(
                 f"bandwidth_mode must be 'median' or a positive finite number, got {mode!r}"
             )
+        if any(type(s) is not int or s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be nonnegative integers, got {self.seeds!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
@@ -331,7 +342,7 @@ def admissible_intervention_values(
     data: Dataset, admissible: Iterable[str]
 ) -> dict[str, float]:
     """Clamp values for the admissible vertices: training-split column means."""
-    rows = data.subset("train") if "train" in set(data.split) else data
+    rows = data.subset("train")
     return {v: float(rows.columns[v].mean()) for v in admissible}
 
 
@@ -348,7 +359,15 @@ def _init_params(n_in: int, hidden: int, rng: np.random.Generator) -> dict[str, 
 
 
 def _forward(params, x, binary: bool):
-    hidden = np.tanh(x @ params["w1"] + params["b1"])
+    """Network output and hidden activations for the rows of ``x``.
+
+    Works in place, as does ``_backward``: a stacked block has thousands of
+    rows, and every block-sized temporary that the allocator hands back to
+    the system costs fresh pages on the next call.
+    """
+    hidden = x @ params["w1"]
+    hidden += params["b1"]
+    np.tanh(hidden, out=hidden)
     raw = (hidden @ params["w2"] + params["b2"]).ravel()
     out = expit(raw) if binary else raw
     return out, hidden
@@ -358,7 +377,10 @@ def _backward(params, x, hidden, out, dout, binary: bool):
     """Parameter gradients given dL/d(output); returns a grad dict."""
     draw = dout * out * (1.0 - out) if binary else dout
     dz2 = draw[:, None]
-    dhidden = dz2 @ params["w2"].T * (1.0 - hidden**2)
+    dhidden = np.square(hidden)
+    np.subtract(1.0, dhidden, out=dhidden)
+    dhidden *= dz2
+    dhidden *= params["w2"].T
     return {
         "w1": x.T @ dhidden,
         "b1": dhidden.sum(axis=0),
@@ -367,44 +389,38 @@ def _backward(params, x, hidden, out, dout, binary: bool):
     }
 
 
-def _zeros_like_params(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
+def _stack(x, sets, features, tag):
+    """One matrix of the observational rows ``x`` and the ``tag`` rows of every
+    (group, context) cell of ``sets``.
 
-
-@dataclass(frozen=True)
-class _Context:
-    """Prediction inputs for one (group, admissible-assignment) cell."""
-
-    sets: tuple[tuple[float, np.ndarray], ...]  # (sensitive value, feature matrix)
-
-
-def _prepare_contexts(
-    interventional: Sequence[InterventionalSet], features: Sequence[str], tag: str
-) -> list[_Context]:
-    keyed = sorted(
-        interventional, key=lambda s: (s.group, s.context, s.sensitive_value)
-    )
-    contexts = []
+    Returns the matrix and, for each cell with at least two sensitive levels,
+    one row slice per level in sensitive-value order. The observational rows
+    come first, so they are the first ``len(x)`` rows of the matrix.
+    """
+    keyed = sorted(sets, key=lambda s: (s.group, s.context, s.sensitive_value))
+    blocks, cells = [x], []
+    start = len(x)
     for _, members in groupby(keyed, key=lambda s: (s.group, s.context)):
-        sets = []
+        members = list(members)
+        if len(members) < 2:
+            continue
+        slices = []
         for s in members:
-            rows = s.data.subset(tag) if tag in set(s.data.split) else s.data
-            sets.append((s.sensitive_value, rows.matrix(features)))
-        if len(sets) >= 2:
-            contexts.append(_Context(tuple(sets)))
-    return contexts
-
-
-def _bandwidth(mode: str | float, pooled: np.ndarray) -> float:
-    if mode == "median":
-        return median_bandwidth(pooled)
-    return float(mode)
+            rows = s.data.subset(tag).matrix(features)
+            blocks.append(rows)
+            slices.append(slice(start, start + len(rows)))
+            start += len(rows)
+        cells.append(slices)
+    return np.concatenate(blocks), cells
 
 
 def _mmd2_discrepancy(preds, want_grads, bandwidth_mode):
     """Mean MMD^2 over the level pairs of one context, bandwidth from the
     pooled predictions in ``"median"`` mode."""
-    sigma = _bandwidth(bandwidth_mode, np.concatenate(preds))
+    if bandwidth_mode == "median":
+        sigma = median_bandwidth(np.concatenate(preds))
+    else:
+        sigma = float(bandwidth_mode)
     return _context_mmd2(preds, sigma, want_grads)
 
 
@@ -424,57 +440,48 @@ def _mean_diff_discrepancy(preds, want_grads):
     return total / len(pairs), grads
 
 
-def _penalty_and_grads(params, contexts, binary, discrepancy, want_grads):
-    """Mean over contexts (and groups) of ``discrepancy`` on the network's
-    predictions for each level, plus parameter grads when ``want_grads``.
+def _penalty(out, cells, discrepancy, dout):
+    """Mean over cells of ``discrepancy`` on each cell's level slices of the
+    predictions ``out``.
 
-    ``discrepancy(preds, want_grads)`` returns the context's value and, on
-    request, its gradient with respect to each level's predictions.
+    ``discrepancy(preds, want_grads)`` returns the cell's value and, on
+    request, its gradient with respect to each level's predictions. Unless
+    ``dout`` is None, the gradient of the mean is added into its rows.
     """
-    if not contexts:
-        return 0.0, None
     total = 0.0
-    grads = _zeros_like_params(params) if want_grads else None
-    for ctx in contexts:
-        preds, hiddens = [], []
-        for _, x in ctx.sets:
-            out, hidden = _forward(params, x, binary)
-            preds.append(out)
-            hiddens.append(hidden)
-        value, dpreds = discrepancy(preds, want_grads)
-        total += value / len(contexts)
-        if want_grads:
-            for (_, x), hidden, out, dout in zip(ctx.sets, hiddens, preds, dpreds):
-                g = _backward(params, x, hidden, out, dout / len(contexts), binary)
-                for k in grads:
-                    grads[k] += g[k]
-    return total, grads
+    for slices in cells:
+        value, dpreds = discrepancy([out[s] for s in slices], dout is not None)
+        total += value / len(cells)
+        if dout is not None:
+            for s, g in zip(slices, dpreds):
+                dout[s] += g / len(cells)
+    return total
 
 
 def _objective_and_grads(
-    params, x, y, contexts, lam, bandwidth_mode, binary, want_grads=True
+    params, x, y, cells, lam, bandwidth_mode, binary, want_grads=True
 ):
+    """MSE on the first ``len(y)`` rows of the stacked block ``x`` plus ``lam``
+    times the penalty over ``cells`` (see ``_stack``), from one forward pass
+    and, with ``want_grads``, one backward pass."""
     out, hidden = _forward(params, x, binary)
-    resid = out - y
+    resid = out[: len(y)] - y
     value = float((resid**2).mean())
-    grads = None
-    if want_grads:
-        grads = _backward(params, x, hidden, out, 2.0 * resid / len(y), binary)
-    if lam > 0 and contexts:
+    dout = np.zeros(len(out)) if want_grads else None
+    if lam > 0 and cells:
         if binary:
             discrepancy = _mean_diff_discrepancy
         else:
             discrepancy = functools.partial(
                 _mmd2_discrepancy, bandwidth_mode=bandwidth_mode
             )
-        pen, pen_grads = _penalty_and_grads(
-            params, contexts, binary, discrepancy, want_grads
-        )
-        value += lam * pen
+        value += lam * _penalty(out, cells, discrepancy, dout)
         if want_grads:
-            for k in grads:
-                grads[k] += lam * pen_grads[k]
-    return value, grads
+            dout *= lam  # only the cells' rows are set so far
+    if not want_grads:
+        return value, None
+    dout[: len(y)] = 2.0 * resid / len(y)
+    return value, _backward(params, x, hidden, out, dout, binary)
 
 
 def train_predictor(
@@ -499,35 +506,31 @@ def train_predictor(
     """
     admissible = tuple(admissible)
     features = feature_set(variant, graph, sensitive, admissible)
-    obs_train = obs.subset("train") if "train" in set(obs.split) else obs
+    sets = interventional if lam > 0 else ()
+    obs_train = obs.subset("train")
     obs_val = obs.subset("val")
-    if obs_val.n == 0:
-        obs_val = obs_train
-    x_train = obs_train.matrix(features)
     y_train = obs_train.columns[outcome]
-    x_val = obs_val.matrix(features)
     y_val = obs_val.columns[outcome]
-    penalized = lam > 0 and len(interventional) > 0
-    train_ctx = _prepare_contexts(interventional, features, "train") if penalized else []
-    val_ctx = _prepare_contexts(interventional, features, "val") if penalized else []
+    x_train, train_cells = _stack(obs_train.matrix(features), sets, features, "train")
+    x_val, val_cells = _stack(obs_val.matrix(features), sets, features, "val")
 
     rng = child_rng(seed, 8)
     params = _init_params(len(features), config.hidden_width, rng)
-    velocity = _zeros_like_params(params)
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
     best = {k: v.copy() for k, v in params.items()}
     best_val = np.inf
     best_epoch = 0
     stale = 0
     for epoch in range(config.epochs):
         _, grads = _objective_and_grads(
-            params, x_train, y_train, train_ctx, lam, config.bandwidth_mode,
+            params, x_train, y_train, train_cells, lam, config.bandwidth_mode,
             config.binary_outcome,
         )
         for k in params:
             velocity[k] = config.momentum * velocity[k] - config.lr * grads[k]
             params[k] = params[k] + velocity[k]
         val_value, _ = _objective_and_grads(
-            params, x_val, y_val, val_ctx, lam, config.bandwidth_mode,
+            params, x_val, y_val, val_cells, lam, config.bandwidth_mode,
             config.binary_outcome, want_grads=False,
         )
         if val_value < best_val - 1e-12:
@@ -565,14 +568,12 @@ def evaluate(
     ground-truth interventional datasets, averaged over unordered
     sensitive-level pairs and over intervention contexts and groups.
     """
-    pred = model.predict(obs_test)
-    rmse = float(np.sqrt(((pred - obs_test.columns[outcome]) ** 2).mean()))
-    contexts = _prepare_contexts(truth_interventional, model.features, "test")
-    unfairness, _ = _penalty_and_grads(
-        model.weights,
-        contexts,
-        model.binary_outcome,
-        functools.partial(_mmd2_discrepancy, bandwidth_mode=bandwidth_mode),
-        want_grads=False,
+    x, cells = _stack(
+        obs_test.matrix(model.features), truth_interventional, model.features, "test"
     )
+    out = _forward(model.weights, x, model.binary_outcome)[0]
+    y = obs_test.columns[outcome]
+    rmse = float(np.sqrt(((out[: len(y)] - y) ** 2).mean()))
+    mmd = functools.partial(_mmd2_discrepancy, bandwidth_mode=bandwidth_mode)
+    unfairness = _penalty(out, cells, mmd, None)
     return EvalRecord(rmse=rmse, mmd2=unfairness, lam=model.lam, seed=model.seed)

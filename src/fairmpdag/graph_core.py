@@ -258,8 +258,8 @@ def parse_graph(text: str) -> Pdag:
     """
     names: list[str] = []
     seen: set[str] = set()
-    directed: list[tuple[str, str]] = []
-    undirected: list[tuple[str, str]] = []
+    # unordered vertex pair -> (tail, head, arrow) of the first edge on it
+    edges: dict[frozenset[str], tuple[str, str, str]] = {}
 
     def visit(name: str, lineno: int) -> str:
         if not name or any(ch.isspace() for ch in name):
@@ -285,17 +285,13 @@ def parse_graph(text: str) -> Pdag:
         b = visit(tokens[2], lineno)
         if a == b:
             raise GraphParseError(f"self-edge at {a!r}", lineno)
-        if (b, a) in directed:
-            raise GraphParseError(f"directed cycle between {a!r} and {b!r}", lineno)
-        pair_seen = any(
-            {a, b} == {x, y} for x, y in directed
-        ) or any({a, b} == {x, y} for x, y in undirected)
-        if pair_seen:
-            raise GraphParseError(f"duplicate edge between {a!r} and {b!r}", lineno)
-        if tokens[1] == "->":
-            directed.append((a, b))
-        else:
-            undirected.append((a, b))
+        pair = frozenset((a, b))
+        if pair in edges:
+            kind = "directed cycle" if edges[pair] == (b, a, "->") else "duplicate edge"
+            raise GraphParseError(f"{kind} between {a!r} and {b!r}", lineno)
+        edges[pair] = (a, b, tokens[1])
+    directed = [(a, b) for a, b, arrow in edges.values() if arrow == "->"]
+    undirected = [(a, b) for a, b, arrow in edges.values() if arrow == "--"]
     return Pdag(names, directed, undirected)
 
 

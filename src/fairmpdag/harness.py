@@ -80,6 +80,13 @@ class ExperimentConfig:
             raise ValueError("scm_kind must be 'linear' or 'nonlinear'")
         if any(s.count <= 0 for s in self.graph_settings):
             raise ValueError("graph counts must be positive")
+        # smaller samples leave a split empty: 8:1:1 observational, 8:2 generated
+        if self.sample_n < 10:
+            raise ValueError(f"sample_n must be at least 10, got {self.sample_n!r}")
+        if self.interventional_n < 5:
+            raise ValueError(
+                f"interventional_n must be at least 5, got {self.interventional_n!r}"
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -292,22 +299,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
                 path = out / "models" / f"{setting.label}_g{graph_id}_conditionals_{group}.json"
                 path.write_text(models_to_json(models))
             for variant, lam in run_plan(cfg):
-                for rep, run_seed_base in enumerate(cfg.train.seeds):
-                    run_seed = derive_seed(cfg.seed, 5, setting_idx, graph_id, rep)
-                    tag = base | {
-                        "model": variant.value,
-                        "lambda": lam,
-                        "seed": run_seed_base,
-                    }
+                for seed in cfg.train.seeds:
+                    run_seed = derive_seed(cfg.seed, 5, setting_idx, graph_id, seed)
+                    tag = base | {"model": variant.value, "lambda": lam, "seed": seed}
                     try:
                         record, model = run_case(cfg, case, variant, lam, run_seed)
                     except Exception as exc:  # noqa: BLE001
                         failures.append(tag | {"stage": "train", "error": str(exc)})
                         continue
                     rows.append(tag | {"rmse": repr(record.rmse), "mmd2": repr(record.mmd2)})
-                    run_name = (
-                        f"{setting.label}_g{graph_id}_{variant.value}_lam{lam}_s{run_seed_base}"
-                    )
+                    run_name = f"{setting.label}_g{graph_id}_{variant.value}_lam{lam}_s{seed}"
                     _dump_predictions(out / "predictions" / f"{run_name}.csv", case, model)
                     (out / "models" / f"{run_name}.json").write_text(model.to_json())
     _write_csv(out / "tradeoff.csv", TRADEOFF_FIELDS, rows)

@@ -231,13 +231,15 @@ def test_criterion_7_mmd_and_gradient():
         sigma = float(rng.uniform(0.3, 2.0))
         ok_naive &= abs(fm.mmd2(ya, yb, sigma) - naive_mmd2(ya, yb, sigma)) < 1e-10
 
-    from fairmpdag.fair_train import _Context, _init_params, _objective_and_grads
+    from fairmpdag.fair_train import _init_params, _objective_and_grads
     from fairmpdag.scm_lab import child_rng
 
     params = _init_params(2, 1, child_rng(3, 8))  # five parameters
-    x = rng.normal(size=(10, 2))
+    # stacked block: 10 observational rows, then two levels of 8 and 7 rows
+    obs = rng.normal(size=(10, 2))
     y = rng.normal(size=10)
-    contexts = [_Context(((0.0, rng.normal(size=(8, 2))), (1.0, rng.normal(size=(7, 2)) + 0.4)))]
+    x = np.concatenate([obs, rng.normal(size=(8, 2)), rng.normal(size=(7, 2)) + 0.4])
+    contexts = [[slice(10, 18), slice(18, 25)]]
     _, grads = _objective_and_grads(params, x, y, contexts, 2.5, 1.3, binary=False)
     eps, worst_rel = 1e-6, 0.0
     for key in params:

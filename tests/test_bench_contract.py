@@ -13,6 +13,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 from checks import Probe  # noqa: E402
 from layers import trace_hooks  # noqa: E402
+from selftest import epoch_accounting  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
@@ -24,3 +25,10 @@ def test_every_hooked_name_is_defined_on_its_owner():
         if h.attr not in vars(h.owner)
     ]
     assert not missing
+
+
+def test_epoch_accounting_self_test_passes():
+    # epochs derived from the early-stopping rule must equal half the
+    # median_bandwidth calls: one per context in the training and in the
+    # validation pass of each penalised epoch
+    assert epoch_accounting() == []

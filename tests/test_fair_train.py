@@ -24,13 +24,11 @@ from fairmpdag import (
     train_predictor,
 )
 from fairmpdag.fair_train import (
-    _Context,
     _context_mmd2,
-    _forward,
     _init_params,
     _kernel_block,
     _objective_and_grads,
-    _prepare_contexts,
+    _stack,
 )
 from fairmpdag.scm_lab import child_rng, split_tags
 
@@ -133,37 +131,46 @@ class TestGradients:
                 assert grads[level][k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_penalized_objective_grad_on_five_parameter_model(self):
-        # hidden width 1 over two features: 2 + 1 + 1 + 1 = 5 parameters
+        # hidden width 1 over two features: 2 + 1 + 1 + 1 = 5 parameters;
+        # one cell of two levels, then two cells of three levels each
         rng = np.random.default_rng(229)
-        params = _init_params(2, 1, child_rng(0, 8))
-        x = rng.normal(size=(12, 2))
-        y = rng.normal(size=12)
-        xa = rng.normal(size=(9, 2))
-        xb = rng.normal(size=(8, 2)) + 0.5
-        contexts = [_Context(((0.0, xa), (1.0, xb)))]
-        lam, sigma = 3.0, 1.7
-        value, grads = _objective_and_grads(
-            params, x, y, contexts, lam, sigma, binary=False
-        )
-        eps = 1e-6
-        for key in params:
-            flat = params[key]
-            it = np.nditer(flat, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                up, _ = _objective_and_grads(
-                    params, x, y, contexts, lam, sigma, binary=False, want_grads=False
-                )
-                flat[idx] = orig - eps
-                dn, _ = _objective_and_grads(
-                    params, x, y, contexts, lam, sigma, binary=False, want_grads=False
-                )
-                flat[idx] = orig
-                fd = (up - dn) / (2 * eps)
-                rel = abs(grads[key][idx] - fd) / max(abs(fd), 1e-8)
-                assert rel < 1e-4, (key, idx, grads[key][idx], fd)
+        one_cell = [(9, 8)]
+        two_cells = [(6, 9, 4), (7, 5, 8)]
+        for layout in (one_cell, two_cells):
+            params = _init_params(2, 1, child_rng(0, 8))
+            y = rng.normal(size=12)
+            blocks, cells, start = [rng.normal(size=(12, 2))], [], 12
+            for sizes in layout:
+                cells.append([])
+                for level, n in enumerate(sizes):
+                    blocks.append(rng.normal(size=(n, 2)) + 0.5 * level)
+                    cells[-1].append(slice(start, start + n))
+                    start += n
+            x = np.concatenate(blocks)
+            assert_objective_grads_match_finite_differences(params, x, y, cells, 3.0, 1.7)
+
+
+def assert_objective_grads_match_finite_differences(params, x, y, cells, lam, sigma):
+    _, grads = _objective_and_grads(params, x, y, cells, lam, sigma, binary=False)
+    eps = 1e-6
+    for key in params:
+        flat = params[key]
+        it = np.nditer(flat, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            up, _ = _objective_and_grads(
+                params, x, y, cells, lam, sigma, binary=False, want_grads=False
+            )
+            flat[idx] = orig - eps
+            dn, _ = _objective_and_grads(
+                params, x, y, cells, lam, sigma, binary=False, want_grads=False
+            )
+            flat[idx] = orig
+            fd = (up - dn) / (2 * eps)
+            rel = abs(grads[key][idx] - fd) / max(abs(fd), 1e-8)
+            assert rel < 1e-4, (key, idx, grads[key][idx], fd)
 
 
 class TestFeatureSets:
@@ -368,10 +375,51 @@ class TestEvaluate:
             )
 
         sets = [InterventionalSet(mk(float(a)), float(a)) for a in range(3)]
-        ctx = _prepare_contexts(sets, ("A",), "train")
-        assert len(ctx) == 1 and len(ctx[0].sets) == 3
+        x_obs = rng.normal(size=(6, 1))
+        x, cells = _stack(x_obs, sets, ("A",), "train")
+        # one cell with one row slice per level, after the observational rows
+        assert len(cells) == 1 and len(cells[0]) == 3
+        assert np.array_equal(x[:6], x_obs)
+        for s, level in zip(cells[0], sets):
+            assert np.array_equal(x[s], level.data.subset("train").matrix(("A",)))
         # three unordered level pairs enter the average
         assert len(list(combinations(range(3), 2))) == 3
+
+    def test_two_groups_three_levels_match_naive_pair_means(self):
+        rng = np.random.default_rng(421)
+        model = FairPredictor(
+            variant=Variant.FULL,
+            features=("A", "B"),
+            admissible=(),
+            weights=_init_params(2, 5, child_rng(4, 8)),
+            lam=0.0,
+            seed=0,
+        )
+
+        def mk(n, shift):
+            cols = {"A": rng.normal(size=n) + shift, "B": rng.normal(size=n)}
+            return Dataset(cols, split_tags(n, (("test", 1),)))
+
+        sizes = {0: (11, 7, 15), 1: (9, 13, 6)}
+        sets = [
+            InterventionalSet(mk(n, 0.4 * level), float(level), group=group)
+            for group, ns in sizes.items()
+            for level, n in enumerate(ns)
+        ]
+        obs = mk(23, 0.0)
+        obs.columns["Y"] = rng.normal(size=23)
+        sigma = 0.8
+        rec = evaluate(model, obs, sets, outcome="Y", bandwidth_mode=sigma)
+
+        def pair_mean(group):
+            preds = [model.predict(s.data) for s in sets if s.group == group]
+            pairs = list(combinations(range(3), 2))
+            return sum(naive_mmd2(preds[i], preds[j], sigma) for i, j in pairs) / 3
+
+        want = (pair_mean(0) + pair_mean(1)) / 2
+        assert rec.mmd2 == pytest.approx(want, abs=1e-12)
+        resid = model.predict(obs) - obs.columns["Y"]
+        assert rec.rmse == pytest.approx(float(np.sqrt(np.mean(resid**2))), abs=1e-12)
 
 
 class TestHelpers:

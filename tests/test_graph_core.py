@@ -9,9 +9,11 @@ from fairmpdag import (
     GraphParseError,
     Pdag,
     bucket_decomposition,
+    cpdag_from_dag,
     exists_proper_possibly_causal_path_starting_undirected,
     parents,
     parse_graph,
+    random_er_dag,
     unshielded_colliders,
 )
 
@@ -56,8 +58,14 @@ class TestParse:
         }
 
     def test_duplicate_edge_names_line(self):
-        with pytest.raises(GraphParseError, match="line 2"):
-            parse_graph("A -> B\nB -- A")
+        for text, message in (
+            ("A -> B\nB -- A", "directed cycle between 'B' and 'A'"),
+            ("A -> B\nA -> B", "duplicate edge between 'A' and 'B'"),
+            ("A -- B\nB -> A", "duplicate edge between 'B' and 'A'"),
+            ("A -- B\nA -- B", "duplicate edge between 'A' and 'B'"),
+        ):
+            with pytest.raises(GraphParseError, match=f"line 2: {message}"):
+                parse_graph(text)
 
     def test_self_edge(self):
         with pytest.raises(GraphParseError, match="self-edge"):
@@ -78,6 +86,9 @@ class TestParse:
 
     def test_roundtrip(self, nine_buckets):
         assert parse_graph(nine_buckets.to_text()) == nine_buckets
+        for d, s in ((10, 20), (40, 100), (120, 360)):
+            cpdag = cpdag_from_dag(random_er_dag(d, s, seed=d))
+            assert parse_graph(cpdag.to_text()) == cpdag
 
 
 class TestUnshieldedColliders:

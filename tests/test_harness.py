@@ -134,6 +134,52 @@ class TestRunExperiment:
         )
         assert cfg.train.lambda_grid == (0.0, 9.0)
 
+    @pytest.mark.parametrize("field, small", [("sample_n", 9), ("interventional_n", 4)])
+    def test_config_rejects_samples_that_leave_a_split_empty(self, field, small):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: small})
+
+    def test_smallest_samples_give_finite_rows(self, tmp_path):
+        cfg = small_config(
+            graph_settings=(GraphSetting(d=5, s=6, count=1),),
+            sample_n=10,
+            interventional_n=5,
+            train=TrainConfig(epochs=5, patience=5, lambda_grid=(5.0,)),
+        )
+        rows = run_experiment(cfg, tmp_path).rows
+        assert rows
+        assert all(np.isfinite(float(r[k])) for r in rows for k in ("rmse", "mmd2"))
+
+    @pytest.mark.parametrize("seeds", ["[true]", "[1.0]", '["0"]', "[-1]", "[0, 2, 0]"])
+    def test_train_config_rejects_bad_seeds(self, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            TrainConfig.from_json(f'{{"seeds": {seeds}}}')
+
+    def test_seed_values_drive_the_run_seed(self, tmp_path):
+        def rows(seeds):
+            cfg = small_config(
+                graph_settings=(GraphSetting(d=5, s=6, count=1),),
+                train=TrainConfig(epochs=20, patience=10, lambda_grid=(5.0,), seeds=seeds),
+            )
+            found = run_experiment(cfg, tmp_path / str(seeds)).rows
+            return {(r["model"], r["lambda"], r["seed"]): r["rmse"] for r in found}
+
+        # seeds 0..k-1 keep the numbers of the earlier replicate-index seeding
+        pair = rows((0, 1))
+        before = {
+            ("full", 0.0, 0): 1.1932737297632028,
+            ("full", 0.0, 1): 1.0519011065657906,
+            ("eps_ifair", 5.0, 0): 1.317684340170069,
+            ("eps_ifair", 5.0, 1): 1.2586708942285605,
+        }
+        for key, rmse in before.items():
+            assert float(pair[key]) == pytest.approx(rmse, rel=1e-9)
+        zero = rows((0,))
+        seven = rows((7,))
+        assert zero.keys() and len(zero) == len(seven)
+        for (model, lam, _), rmse in zero.items():
+            assert seven[(model, lam, 7)] != rmse
+
     def test_plan_covers_baselines_and_grid(self):
         cfg = small_config()
         plan = run_plan(cfg)
