@@ -41,7 +41,6 @@ from .fair_train import (
     feature_set,
     median_bandwidth,
     mmd2,
-    permutation_null_quantile,
     train_predictor,
 )
 from .graph_core import (

@@ -123,19 +123,24 @@ def is_identifiable(g: Pdag, intervened: Iterable[str]) -> bool:
     return not g.undirected_mask[np.ix_(s_idx, rest)].any()
 
 
-def identification_formula(g: Pdag, intervened: Iterable[str]) -> IdentificationFormula:
+def identification_formula(
+    g: Pdag, intervened: Iterable[str], ordering: CausalOrdering
+) -> IdentificationFormula:
     """Truncated-factorization formula for the intervened set.
 
-    The factors are the PCO buckets of the non-intervened vertices, each
-    conditioned on its graph parents, whose intervened members are later
-    fixed to the supplied intervention values.
+    ``ordering`` is the PCO of every vertex of ``g``, ``pco(g.names, g)``,
+    which callers already hold for fitting the bucket conditionals. The
+    factors are its buckets of non-intervened vertices, each conditioned on
+    its graph parents, whose intervened members are later fixed to the
+    supplied intervention values.
     """
     s = set(intervened)
     if not is_identifiable(g, s):
         raise NotIdentifiableError(
             "undirected edge incident to the intervened set"
         )
-    ordering = pco(g.names, g)
+    if sum(map(len, ordering.buckets)) != g.n:
+        raise GraphError("ordering must be the PCO of every vertex of the graph")
     factors = []
     for bucket in ordering.buckets:
         if bucket & s:

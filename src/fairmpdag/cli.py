@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Thin wrappers over the graph engine (cpdag, mpdag, pco, identify, relations)
-plus the experiment sweep. Parse and consistency failures are reported with
-file context; the experiment exits 2 when any per-run failure was recorded.
+plus the experiment sweep. Graph, background-knowledge and config files all
+load through ``_load``, so bad input exits with ``file[:line]: message`` and
+no traceback; the experiment exits 2 when any per-run failure was recorded.
 """
 from __future__ import annotations
 
@@ -17,16 +18,18 @@ from .causal_ident import (
     is_identifiable,
     pco,
 )
-from .graph_core import GraphError, GraphParseError, Pdag, parse_graph
+from .graph_core import GraphError, Pdag, parse_graph
 from .harness import ExperimentConfig, run_experiment
 from .meek_engine import construct_mpdag, cpdag_from_dag, parse_background_knowledge
 
 
 def _load(path: str, parse=parse_graph):
+    """``parse`` the file's text; bad input exits with ``file[:line]: message``."""
     try:
         return parse(Path(path).read_text())
-    except GraphParseError as exc:
-        line = f":{exc.line}" if exc.line is not None else ""
+    except (OSError, ValueError) as exc:
+        line = getattr(exc, "line", None)
+        line = f":{line}" if line is not None else ""
         raise SystemExit(f"{path}{line}: {exc}")
 
 
@@ -64,7 +67,7 @@ def cmd_identify(args) -> int:
     g = _load(args.graph)
     intervened = args.do
     if is_identifiable(g, intervened):
-        formula = identification_formula(g, intervened)
+        formula = identification_formula(g, intervened, pco(g.names, g))
         print(formula.as_text())
         print("identifiable")
     else:
@@ -85,7 +88,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    cfg = _load(args.config, ExperimentConfig.from_json)
     result = run_experiment(cfg, args.out)
     print(f"{len(result.rows)} runs -> {args.out}/tradeoff.csv")
     if result.failures:

@@ -67,25 +67,37 @@ class TrainConfig:
     binary_outcome: bool = False
 
     def __post_init__(self):
+        _check_int("hidden_width", self.hidden_width, 1)
+        _check_int("epochs", self.epochs, 1)
+        _check_int("patience", self.patience, 0)
+        lr, momentum, grid, seeds = self.lr, self.momentum, self.lambda_grid, self.seeds
+        _check("lr", lr, _is_finite(lr) and lr > 0, "a positive finite number")
+        _check("momentum", momentum, _is_finite(momentum) and 0 <= momentum < 1, "in [0, 1)")
+        ok = isinstance(grid, tuple) and grid and all(_is_finite(x) and x >= 0 for x in grid)
+        _check("lambda_grid", grid, ok, "a nonempty list of finite numbers >= 0")
+        ok = isinstance(seeds, tuple) and seeds and all(type(x) is int and x >= 0 for x in seeds)
+        ok = ok and len(set(seeds)) == len(seeds)
+        _check("seeds", seeds, ok, "a nonempty list of distinct nonnegative integers")
         mode = self.bandwidth_mode
-        number = isinstance(mode, (int, float)) and not isinstance(mode, bool)
-        if mode != "median" and not (number and math.isfinite(mode) and mode > 0):
-            raise ValueError(
-                f"bandwidth_mode must be 'median' or a positive finite number, got {mode!r}"
-            )
-        if any(type(s) is not int or s < 0 for s in self.seeds):
-            raise ValueError(f"seeds must be nonnegative integers, got {self.seeds!r}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {self.seeds!r}")
+        ok = mode == "median" or (_is_finite(mode) and mode > 0)
+        _check("bandwidth_mode", mode, ok, "'median' or a positive finite number")
+        flag = self.binary_outcome
+        _check("binary_outcome", flag, type(flag) is bool, "a bool")
 
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        raw = json.loads(text)
-        known = {k: v for k, v in raw.items() if k in cls.__dataclass_fields__}
-        for key in ("lambda_grid", "seeds"):
-            if key in known:
-                known[key] = tuple(known[key])
-        return cls(**known)
+
+def _is_finite(value) -> bool:
+    """True for a finite int or float; bools and strings are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check(name: str, value, ok, rule: str) -> None:
+    """Reject a config value, naming its field, unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_int(name: str, value, low: int) -> None:
+    _check(name, value, type(value) is int and value >= low, f"an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -282,39 +294,6 @@ def median_bandwidth(values: np.ndarray, cap: int = 512) -> float:
         return med
     mean = float(upper.mean())
     return mean if mean > 0 else 1.0
-
-
-def permutation_null_quantile(
-    ya: np.ndarray,
-    yb: np.ndarray,
-    *,
-    n_permutations: int = 200,
-    q: float = 0.95,
-    seed: int = 0,
-    bandwidth: float | None = None,
-) -> float:
-    """Null quantile of MMD^2 under random reassignment of the pooled sample.
-
-    The pooled kernel matrix does not depend on the assignment, so it is
-    built once and each permutation reduces to two matrix-vector products.
-    """
-    pooled = np.concatenate([np.ravel(ya), np.ravel(yb)])
-    sigma = bandwidth if bandwidth is not None else median_bandwidth(pooled)
-    na = len(np.ravel(ya))
-    n = len(pooled)
-    nb = n - na
-    kernel = np.exp(-((pooled[:, None] - pooled[None, :]) ** 2) / sigma)
-    rng = child_rng(seed, 7)
-    draws = np.empty(n_permutations)
-    for k in range(n_permutations):
-        u = np.zeros(n)
-        u[rng.permutation(n)[:na]] = 1.0
-        ku = kernel @ u
-        saa = u @ ku
-        sab = ku.sum() - saa
-        sbb = kernel.sum() - saa - 2 * sab
-        draws[k] = saa / na**2 + sbb / nb**2 - 2 * sab / (na * nb)
-    return float(np.quantile(draws, q))
 
 
 # -- feature selection ----------------------------------------------------------

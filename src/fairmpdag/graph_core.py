@@ -249,6 +249,15 @@ def _kahn_order(dmat: np.ndarray) -> list[int]:
 # -- parsing ---------------------------------------------------------------
 
 
+def _content_lines(text: str):
+    """(line number, stripped text) of each line that is not empty once the
+    ``#`` comment is cut; shared by the graph and background-knowledge formats."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_graph(text: str) -> Pdag:
     """Parse the edge-list format.
 
@@ -269,10 +278,7 @@ def parse_graph(text: str) -> Pdag:
             names.append(name)
         return name
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         tokens = line.split()
         if tokens[0] == "node":
             if len(tokens) != 2:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .causal_ident import (
@@ -29,6 +29,9 @@ from .fair_train import (
     InterventionalSet,
     TrainConfig,
     Variant,
+    _check,
+    _check_int,
+    _is_finite,
     admissible_intervention_values,
     evaluate,
     median_bandwidth,
@@ -55,6 +58,14 @@ class GraphSetting:
     count: int
     admissible_count: int = 0
 
+    def __post_init__(self):
+        _check_int("d", self.d, 2)  # the outcome and the sensitive vertex
+        most = self.d * (self.d - 1) // 2
+        ok = type(self.s) is int and 0 <= self.s <= most
+        _check("s", self.s, ok, f"an integer in [0, {most}]")
+        _check_int("count", self.count, 1)
+        _check_int("admissible_count", self.admissible_count, 0)
+
     @property
     def label(self) -> str:
         return f"{self.d}nodes{self.s}edges"
@@ -74,30 +85,62 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not 0.0 <= self.bk_fraction <= 1.0:
-            raise ValueError("bk_fraction must lie in [0, 1]")
-        if self.scm_kind not in ("linear", "nonlinear"):
-            raise ValueError("scm_kind must be 'linear' or 'nonlinear'")
-        if any(s.count <= 0 for s in self.graph_settings):
-            raise ValueError("graph counts must be positive")
+        settings = self.graph_settings
+        ok = isinstance(settings, tuple) and settings
+        _check("graph_settings", settings, ok, "a nonempty list")
+        _check_int("seed", self.seed, 0)
         # smaller samples leave a split empty: 8:1:1 observational, 8:2 generated
-        if self.sample_n < 10:
-            raise ValueError(f"sample_n must be at least 10, got {self.sample_n!r}")
-        if self.interventional_n < 5:
-            raise ValueError(
-                f"interventional_n must be at least 5, got {self.interventional_n!r}"
-            )
+        _check_int("sample_n", self.sample_n, 10)
+        _check_int("interventional_n", self.interventional_n, 5)
+        fraction = self.bk_fraction
+        _check("bk_fraction", fraction, _is_finite(fraction) and 0 <= fraction <= 1, "in [0, 1]")
+        kind = self.scm_kind
+        _check("scm_kind", kind, kind in ("linear", "nonlinear"), "'linear' or 'nonlinear'")
+        mode = self.unidentifiable_mode
+        _check("unidentifiable_mode", mode, type(mode) is bool, "a bool")
+        _check_int("max_candidates", self.max_candidates, 0)
+        path = self.cpdag_dir
+        _check("cpdag_dir", path, path is None or isinstance(path, str), "a path or null")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        settings = tuple(GraphSetting(**entry) for entry in raw.pop("graph_settings"))
-        train_raw = raw.pop("train", {})
-        if "lambda_grid" in raw:  # accepted at top level as a convenience
-            train_raw.setdefault("lambda_grid", raw.pop("lambda_grid"))
-        train = TrainConfig.from_json(json.dumps(train_raw))
-        known = {k: v for k, v in raw.items() if k in cls.__dataclass_fields__}
-        return cls(graph_settings=settings, train=train, **known)
+        return _load(
+            cls, json.loads(text), "config", graph_settings=[GraphSetting], train=TrainConfig
+        )
+
+
+def _load(cls, raw, section: str, **nested):
+    """Build the config dataclass ``cls`` from the JSON object ``raw``.
+
+    The dataclass is the schema: every key must be a field of ``cls``, and
+    every field without a default must be given. ``nested`` maps a key to the
+    dataclass of its object, or ``[dataclass]`` for a list of objects. Other
+    lists become tuples; every other value is passed on as parsed (an int
+    stays an int) for ``__post_init__`` to check. Errors name the section
+    (``config``, ``train``, ``graph_settings[1]``) and the key.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section}: expected an object, got {json.dumps(raw)}")
+    declared = {f.name: f for f in fields(cls)}
+    values = {}
+    for key, value in raw.items():
+        if key not in declared:
+            raise ValueError(f"{section}: unknown key {key!r}")
+        kind = nested.get(key)
+        if isinstance(kind, list):
+            if not isinstance(value, list):
+                raise ValueError(f"{section}: {key} must be a list, got {json.dumps(value)}")
+            value = [_load(kind[0], item, f"{key}[{i}]") for i, item in enumerate(value)]
+        elif kind is not None:
+            value = _load(kind, value, key)
+        values[key] = tuple(value) if isinstance(value, list) else value
+    for name, f in declared.items():
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{section}: missing key {name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -192,7 +235,7 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
         ordering = pco(graph.names, graph)
         models = fit_bucket_conditionals(obs_train, ordering, graph)
         conditionals.append(tuple(models))
-        formula = identification_formula(graph, intervened)
+        formula = identification_formula(graph, intervened, ordering)
         for li, a in enumerate(levels):
             data = generate_interventional(
                 models,

@@ -18,6 +18,7 @@ from .graph_core import (
     GraphError,
     GraphParseError,
     Pdag,
+    _content_lines,
     unshielded_colliders,
 )
 
@@ -203,10 +204,7 @@ def augment_with_prediction(g: Pdag, label: str = "Yhat") -> Pdag:
 def parse_background_knowledge(text: str) -> tuple[tuple[str, str], ...]:
     """Parse one ``NAME -> NAME`` statement per line; ``#`` starts a comment."""
     out: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         tokens = line.split()
         if len(tokens) != 3 or tokens[1] != "->":
             raise GraphParseError(f"expected 'NAME -> NAME', got {line!r}", lineno)

@@ -1,6 +1,6 @@
 import pytest
 
-from fairmpdag import parse_graph
+from fairmpdag import ExperimentConfig, parse_graph
 
 # Star-plus-triangle MPDAG: sensitive root with directed edges into an
 # undirected triangle. Its class has six member DAGs.
@@ -75,6 +75,13 @@ F -> L
 """
 
 BK_DEMO_KNOWLEDGE = (("A", "B"), ("A", "C"), ("A", "D"), ("A", "N"))
+
+
+def train_from_json(train: str):
+    """The TrainConfig loaded from the JSON object text ``train`` in a config file."""
+    return ExperimentConfig.from_json(
+        f'{{"graph_settings": [{{"d": 4, "s": 3, "count": 1}}], "train": {train}}}'
+    ).train
 
 
 @pytest.fixture

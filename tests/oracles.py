@@ -13,7 +13,9 @@ from fairmpdag import (
     DirectedCycleError,
     GraphError,
     Pdag,
+    child_rng,
     cpdag_from_dag,
+    median_bandwidth,
     random_er_dag,
     unshielded_colliders,
 )
@@ -218,6 +220,39 @@ def naive_mmd2(ya, yb, sigma: float) -> float:
 
 
 # -- population linear-Gaussian machinery --------------------------------------
+
+
+def permutation_null_quantile(
+    ya: np.ndarray,
+    yb: np.ndarray,
+    *,
+    n_permutations: int = 200,
+    q: float = 0.95,
+    seed: int = 0,
+    bandwidth: float | None = None,
+) -> float:
+    """Null quantile of MMD^2 under random reassignment of the pooled sample.
+
+    The pooled kernel matrix does not depend on the assignment, so it is
+    built once and each permutation reduces to two matrix-vector products.
+    """
+    pooled = np.concatenate([np.ravel(ya), np.ravel(yb)])
+    sigma = bandwidth if bandwidth is not None else median_bandwidth(pooled)
+    na = len(np.ravel(ya))
+    n = len(pooled)
+    nb = n - na
+    kernel = np.exp(-((pooled[:, None] - pooled[None, :]) ** 2) / sigma)
+    rng = child_rng(seed, 7)
+    draws = np.empty(n_permutations)
+    for k in range(n_permutations):
+        u = np.zeros(n)
+        u[rng.permutation(n)[:na]] = 1.0
+        ku = kernel @ u
+        saa = u @ ku
+        sab = ku.sum() - saa
+        sbb = kernel.sum() - saa - 2 * sab
+        draws[k] = saa / na**2 + sbb / nb**2 - 2 * sab / (na * nb)
+    return float(np.quantile(draws, q))
 
 
 def pair_weights(g: Pdag, rng: np.random.Generator) -> dict:

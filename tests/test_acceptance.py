@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import fairmpdag as fm
-from fairmpdag.fair_train import TrainConfig, Variant, permutation_null_quantile
+from fairmpdag.fair_train import TrainConfig, Variant
 from fairmpdag.harness import (
     ExperimentConfig,
     GraphSetting,
@@ -30,6 +30,7 @@ from .oracles import (
     descendants,
     naive_mmd2,
     pair_weights,
+    permutation_null_quantile,
     population_cov,
     population_do_means,
     random_mpdag,
@@ -101,7 +102,7 @@ def test_criterion_3_pco_golden():
     order_text = " < ".join(
         "{" + ",".join(g.sort_vertices(b)) + "}" for b in ordering.buckets
     )
-    formula = fm.identification_formula(g, ["A", "E"]).as_text()
+    formula = fm.identification_formula(g, ["A", "E"], fm.pco(g.names, g)).as_text()
     ok = (
         order_text == "{B,C} < {A,E} < {M,L} < {D} < {R} < {N}"
         and formula == "f(n|a,m,l,r) f(r|e) f(d|b,e) f(m,l) f(b,c)"
@@ -172,7 +173,7 @@ def test_criterion_5_generated_matches_truth():
             g = fm.construct_mpdag(cpdag, bk)
             ordering = fm.pco(g.names, g)
             models = fm.fit_bucket_conditionals(obs, ordering, g)
-            formula = fm.identification_formula(g, [scm.sensitive])
+            formula = fm.identification_formula(g, [scm.sensitive], ordering)
             for level in range(scm.sensitive_levels):
                 assign = {scm.sensitive: float(level)}
                 gen = fm.generate_interventional(
@@ -396,10 +397,9 @@ def _unidentifiable_case(truth_edges, outcome_edges, n_expected, seed):
     assert len(candidates) == n_expected, (len(candidates), n_expected)
     train_sets = []
     for group, cand in enumerate(candidates):
-        models = fm.fit_bucket_conditionals(
-            obs.subset("train"), fm.pco(cand.names, cand), cand
-        )
-        formula = fm.identification_formula(cand, ["A"])
+        ordering = fm.pco(cand.names, cand)
+        models = fm.fit_bucket_conditionals(obs.subset("train"), ordering, cand)
+        formula = fm.identification_formula(cand, ["A"], ordering)
         for a in (0.0, 1.0):
             data = fm.generate_interventional(
                 models, formula, {"A": a}, 1000, fm.derive_seed(seed, 2, group, int(a))

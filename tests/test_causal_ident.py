@@ -106,25 +106,33 @@ class TestIdentifiable:
         assert fired > 0
 
 
+def formula_of(g, intervened):
+    return identification_formula(g, intervened, pco(g.names, g))
+
+
 class TestIdentificationFormula:
     def test_nine_buckets_golden_text(self, nine_buckets):
-        f = identification_formula(nine_buckets, ["A", "E"])
+        f = formula_of(nine_buckets, ["A", "E"])
         assert f.as_text() == "f(n|a,m,l,r) f(r|e) f(d|b,e) f(m,l) f(b,c)"
         assert f.fixed == ("A", "E")
         assert set(f.integrated_out) == set("BCDMLRN")
 
     def test_star_triangle_single_factor(self, star_triangle):
-        f = identification_formula(star_triangle, ["A"])
+        f = formula_of(star_triangle, ["A"])
         assert f.factors == ((("X1", "X2", "X3"), ("A",)),)
         assert f.as_text() == "f(x1,x2,x3|a)"
 
     def test_intervening_everything_leaves_no_factors(self, nine_buckets):
-        f = identification_formula(nine_buckets, nine_buckets.names)
+        f = formula_of(nine_buckets, nine_buckets.names)
         assert f.factors == () and f.integrated_out == ()
 
     def test_not_identifiable_raises(self):
         with pytest.raises(NotIdentifiableError):
-            identification_formula(parse_graph("A -- X"), ["A"])
+            formula_of(parse_graph("A -- X"), ["A"])
+
+    def test_partial_ordering_rejected(self, nine_buckets):
+        with pytest.raises(GraphError, match="every vertex"):
+            identification_formula(nine_buckets, ["A", "E"], pco(["A", "E"], nine_buckets))
 
     def test_conditioning_matches_graph_parents(self):
         rng = np.random.default_rng(37)
@@ -133,7 +141,7 @@ class TestIdentificationFormula:
             s = [g.names[0]]
             if not is_identifiable(g, s):
                 continue
-            f = identification_formula(g, s)
+            f = formula_of(g, s)
             for bucket, conditioning in f.factors:
                 assert conditioning == parents(g, bucket)
 

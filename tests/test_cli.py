@@ -105,3 +105,27 @@ def test_experiment_end_to_end(tmp_path, capsys):
     preds = sorted((out_dir / "predictions").iterdir())
     assert len(preds) == 5
     assert preds[0].read_text().splitlines()[0] == "sensitive_value,prediction"
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"graph_settings": [{"d": 4, "s": 3, "count": 1}], "train": {"epoch": 3}}',
+         "train: unknown key 'epoch'"),
+        ('{"graph_settings": [{"d": 4, "s": 9, "count": 1}]}', "graph_settings[0]: s must be"),
+        ('{"graph_settings": [', "line 1 column 21"),
+    ],
+)
+def test_experiment_bad_config_names_file(tmp_path, text, named):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", str(config), "--out", str(tmp_path / "out")])
+    message = str(exc.value)
+    assert message.startswith(f"{config}: ") and named in message
+    assert not (tmp_path / "out").exists()  # rejected before the sweep starts
+
+
+def test_missing_file_names_file(tmp_path):
+    with pytest.raises(SystemExit, match="none.graph: "):
+        main(["cpdag", str(tmp_path / "none.graph")])

@@ -15,6 +15,7 @@ from fairmpdag import (
     sample_observational,
 )
 
+from .oracles import permutation_null_quantile
 from .test_scm_lab import two_vertex_scm
 
 
@@ -80,7 +81,7 @@ class TestFit:
 class TestGenerate:
     def test_matches_truth_mean(self, two_vertex_fit):
         scm, _, g, models = two_vertex_fit
-        formula = identification_formula(g, ["A"])
+        formula = identification_formula(g, ["A"], pco(g.names, g))
         gen = generate_interventional(models, formula, {"A": 1.0}, 10_000, seed=103)
         truth = sample_interventional_truth(scm, {"A": 1.0}, 10_000, seed=105)
         assert abs(gen.columns["X"].mean() - truth.columns["X"].mean()) < 0.1
@@ -88,33 +89,33 @@ class TestGenerate:
 
     def test_split_82(self, two_vertex_fit):
         _, _, g, models = two_vertex_fit
-        formula = identification_formula(g, ["A"])
+        formula = identification_formula(g, ["A"], pco(g.names, g))
         gen = generate_interventional(models, formula, {"A": 0.0}, 1000, seed=107)
         assert gen.subset("train").n == 800 and gen.subset("val").n == 200
 
     def test_intervening_sink_leaves_rest_observational(self, two_vertex_fit):
         _, obs, g, models = two_vertex_fit
-        formula = identification_formula(g, ["X"])
+        formula = identification_formula(g, ["X"], pco(g.names, g))
         gen = generate_interventional(models, formula, {"X": 3.0}, 8000, seed=109)
         assert abs(gen.columns["A"].mean() - obs.columns["A"].mean()) < 0.05
 
     def test_deterministic(self, two_vertex_fit):
         _, _, g, models = two_vertex_fit
-        formula = identification_formula(g, ["A"])
+        formula = identification_formula(g, ["A"], pco(g.names, g))
         a = generate_interventional(models, formula, {"A": 1.0}, 256, seed=111)
         b = generate_interventional(models, formula, {"A": 1.0}, 256, seed=111)
         assert all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
 
     def test_missing_assignment_rejected(self, two_vertex_fit):
         _, _, g, models = two_vertex_fit
-        formula = identification_formula(g, ["A"])
+        formula = identification_formula(g, ["A"], pco(g.names, g))
         with pytest.raises(ValueError, match="missing assignment"):
             generate_interventional(models, formula, {}, 10, seed=1)
 
     def test_model_formula_mismatch_rejected(self, two_vertex_fit):
         _, _, g, models = two_vertex_fit
         other = parse_graph("A -> X\nA -> W\nW -> X")
-        formula = identification_formula(other, ["A"])
+        formula = identification_formula(other, ["A"], pco(other.names, other))
         with pytest.raises(ValueError, match="no fitted conditional"):
             generate_interventional(models, formula, {"A": 1.0}, 10, seed=1)
 
@@ -123,7 +124,7 @@ class TestNondescendantInvariance:
     def test_generated_nondescendant_columns_match_observational(self):
         # W precedes A causally, so do(A) must leave the generated W marginal
         # at its observational distribution
-        from fairmpdag import LinearScm, median_bandwidth, mmd2, permutation_null_quantile
+        from fairmpdag import LinearScm, median_bandwidth, mmd2
 
         g = parse_graph("W -> X\nA -> X")
         scm = LinearScm(
@@ -135,8 +136,9 @@ class TestNondescendantInvariance:
             outcome="Y",
         )
         obs = sample_observational(scm, 2000, seed=210)
-        models = fit_bucket_conditionals(obs, pco(g.names, g), g)
-        formula = identification_formula(g, ["A"])
+        ordering = pco(g.names, g)
+        models = fit_bucket_conditionals(obs, ordering, g)
+        formula = identification_formula(g, ["A"], ordering)
         gen = generate_interventional(models, formula, {"A": 1.0}, 2000, seed=211)
         sigma = median_bandwidth(
             np.concatenate([obs.columns["W"], gen.columns["W"]])
@@ -155,13 +157,12 @@ class TestUnidentifiable:
         obs = sample_observational(scm, 4000, seed=115)
         g = parse_graph("A -- X")
         candidates = enumerate_valid_orientations(g, ["A"])
-        models = [
-            fit_bucket_conditionals(obs, pco(c.names, c), c) for c in candidates
-        ]
-        sets = [
-            generate_interventional(m, identification_formula(c, ["A"]), {"A": 1.0}, 6000, seed=117)
-            for m, c in zip(models, candidates)
-        ]
+        sets = []
+        for c in candidates:
+            ordering = pco(c.names, c)
+            models = fit_bucket_conditionals(obs, ordering, c)
+            formula = identification_formula(c, ["A"], ordering)
+            sets.append(generate_interventional(models, formula, {"A": 1.0}, 6000, seed=117))
         means = sorted(d.columns["X"].mean() for d in sets)
         # f(x) leaves the mean near E[X] ~ 0.45; f(x|a) pushes it to ~0.9
         assert means[1] - means[0] > 0.3

@@ -32,6 +32,7 @@ from fairmpdag.fair_train import (
 )
 from fairmpdag.scm_lab import child_rng, split_tags
 
+from .conftest import train_from_json
 from .oracles import naive_mmd2
 from .test_scm_lab import two_vertex_scm
 
@@ -444,18 +445,21 @@ class TestHelpers:
         assert median_bandwidth(values) == float(np.median(d2[np.triu_indices(len(v), 1)]))
 
     def test_train_config_from_json(self):
-        cfg = TrainConfig.from_json('{"hidden_width": 8, "lambda_grid": [0, 1], "ignored": 3}')
-        assert cfg.hidden_width == 8 and cfg.lambda_grid == (0.0, 1.0)
+        cfg = train_from_json('{"hidden_width": 8, "lambda_grid": [0, 1.5]}')
+        assert cfg.hidden_width == 8 and cfg.lambda_grid == (0, 1.5)
+        assert type(cfg.lambda_grid[0]) is int  # run names keep "lam0"
         assert cfg.lr == TrainConfig().lr
+        with pytest.raises(ValueError, match="train: unknown key 'ignored'"):
+            train_from_json('{"hidden_width": 8, "ignored": 3}')
 
     @pytest.mark.parametrize("mode", ['"mediam"', '"1.5"', "0", "-2.0", "true", "NaN", "Infinity"])
     def test_train_config_rejects_bad_bandwidth_mode(self, mode):
-        with pytest.raises(ValueError, match="bandwidth_mode"):
-            TrainConfig.from_json(f'{{"bandwidth_mode": {mode}}}')
+        with pytest.raises(ValueError, match="train: bandwidth_mode"):
+            train_from_json(f'{{"bandwidth_mode": {mode}}}')
 
     def test_train_config_accepts_median_and_positive_bandwidth(self):
-        assert TrainConfig.from_json('{"bandwidth_mode": "median"}').bandwidth_mode == "median"
-        assert TrainConfig.from_json('{"bandwidth_mode": 2}').bandwidth_mode == 2
+        assert train_from_json('{"bandwidth_mode": "median"}').bandwidth_mode == "median"
+        assert train_from_json('{"bandwidth_mode": 2}').bandwidth_mode == 2
 
     def test_predictor_json_roundtrip(self):
         p = FairPredictor(

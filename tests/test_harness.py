@@ -1,4 +1,5 @@
 import csv
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,8 @@ from fairmpdag.harness import (
     run_experiment,
     run_plan,
 )
+
+from .conftest import train_from_json
 
 
 def small_config(**overrides):
@@ -127,13 +130,82 @@ class TestUnidentifiableMode:
         assert np.isfinite(rec.rmse) and rec.mmd2 >= -1e-9
 
 
-class TestRunExperiment:
-    def test_config_accepts_top_level_lambda_grid(self):
-        cfg = ExperimentConfig.from_json(
-            '{"graph_settings": [{"d": 4, "s": 3, "count": 1}], "lambda_grid": [0, 9]}'
-        )
-        assert cfg.train.lambda_grid == (0.0, 9.0)
+def config_json(train=None, setting=None, **top) -> str:
+    """Config text with one small graph setting, changed by the arguments."""
+    raw = {"graph_settings": [{"d": 4, "s": 3, "count": 1} | (setting or {})]} | top
+    if train is not None:
+        raw["train"] = train
+    return json.dumps(raw)
 
+
+GOOD = config_json()
+# each text and the start of the error it must raise: the section, then the key
+BAD_CONFIGS = [
+    ("[]", "config: expected an object"),
+    ("{}", "config: missing key 'graph_settings'"),
+    (config_json(sampl_n=50), "config: unknown key 'sampl_n'"),
+    (config_json(lambda_grid=[0, 9]), "config: unknown key 'lambda_grid'"),
+    (
+        '{"sampl_n": 50, "train": {"epoch": 3, "lr": -1, "lambda_grid": []}}',
+        "config: unknown key 'sampl_n'",
+    ),
+    (config_json(train={"epoch": 3}), "train: unknown key 'epoch'"),
+    (config_json(train=[]), "train: expected an object"),
+    (config_json(train=5), "train: expected an object"),
+    (
+        config_json(graph_settings=[{"d": 4, "s": 3, "count": 1}, {"d": 4, "edges": 3}]),
+        "graph_settings[1]: unknown key 'edges'",
+    ),
+    ('{"graph_settings": [{"d": 4, "count": 1}]}', "graph_settings[0]: missing key 's'"),
+    ('{"graph_settings": [7]}', "graph_settings[0]: expected an object"),
+    ('{"graph_settings": {"d": 4, "s": 3, "count": 1}}', "config: graph_settings must be a list"),
+    (config_json(graph_settings=[]), "config: graph_settings must be"),
+    (config_json(seed=-1), "config: seed must be"),
+    (config_json(seed=1.5), "config: seed must be"),
+    (config_json(seed=True), "config: seed must be"),
+    (config_json(max_candidates=-1), "config: max_candidates must be"),
+    (config_json(sample_n=9), "config: sample_n must be"),
+    (config_json(bk_fraction="0.5"), "config: bk_fraction must be"),
+    (config_json(unidentifiable_mode="false"), "config: unidentifiable_mode must be"),
+    (config_json(setting={"d": 1, "s": 0}), "graph_settings[0]: d must be"),
+    (config_json(setting={"d": True}), "graph_settings[0]: d must be"),
+    (config_json(setting={"s": 7}), "graph_settings[0]: s must be an integer in [0, 6]"),
+    (config_json(setting={"s": -1}), "graph_settings[0]: s must be"),
+    (config_json(setting={"count": 0}), "graph_settings[0]: count must be"),
+    (config_json(setting={"admissible_count": -1}), "graph_settings[0]: admissible_count must be"),
+    (config_json(train={"hidden_width": 0}), "train: hidden_width must be"),
+    (config_json(train={"epochs": 0}), "train: epochs must be"),
+    (config_json(train={"epochs": True}), "train: epochs must be"),
+    (config_json(train={"epochs": 30.0}), "train: epochs must be"),
+    (config_json(train={"lr": -1}), "train: lr must be"),
+    (config_json(train={"lr": 0}), "train: lr must be"),
+    (config_json(train={"lr": float("inf")}), "train: lr must be"),
+    (config_json(train={"momentum": 1}), "train: momentum must be"),
+    (config_json(train={"momentum": -0.1}), "train: momentum must be"),
+    (config_json(train={"patience": -1}), "train: patience must be"),
+    (config_json(train={"lambda_grid": []}), "train: lambda_grid must be"),
+    (config_json(train={"lambda_grid": [0, -1]}), "train: lambda_grid must be"),
+    (config_json(train={"lambda_grid": [float("nan")]}), "train: lambda_grid must be"),
+    (config_json(train={"lambda_grid": 5}), "train: lambda_grid must be"),
+    (config_json(train={"seeds": []}), "train: seeds must be"),
+    (config_json(train={"binary_outcome": 0}), "train: binary_outcome must be"),
+]
+
+
+def test_good_config_loads():
+    cfg = ExperimentConfig.from_json(GOOD)
+    assert cfg.graph_settings == (GraphSetting(d=4, s=3, count=1),)
+    assert cfg.train == TrainConfig()
+
+
+@pytest.mark.parametrize("text, message", BAD_CONFIGS)
+def test_bad_config_names_section_and_key(text, message):
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_json(text)
+    assert str(exc.value).startswith(message)
+
+
+class TestRunExperiment:
     @pytest.mark.parametrize("field, small", [("sample_n", 9), ("interventional_n", 4)])
     def test_config_rejects_samples_that_leave_a_split_empty(self, field, small):
         with pytest.raises(ValueError, match=field):
@@ -152,8 +224,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("seeds", ["[true]", "[1.0]", '["0"]', "[-1]", "[0, 2, 0]"])
     def test_train_config_rejects_bad_seeds(self, seeds):
-        with pytest.raises(ValueError, match="seeds"):
-            TrainConfig.from_json(f'{{"seeds": {seeds}}}')
+        with pytest.raises(ValueError, match="train: seeds"):
+            train_from_json(f'{{"seeds": {seeds}}}')
 
     def test_seed_values_drive_the_run_seed(self, tmp_path):
         def rows(seeds):

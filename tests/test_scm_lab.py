@@ -10,7 +10,6 @@ from fairmpdag import (
     mmd2,
     median_bandwidth,
     parse_graph,
-    permutation_null_quantile,
     random_er_dag,
     random_linear_scm,
     random_nonlinear_scm,
@@ -18,6 +17,8 @@ from fairmpdag import (
     sample_observational,
 )
 from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, split_tags
+
+from .oracles import permutation_null_quantile
 
 
 def two_vertex_scm(beta=0.5, noise=1.0):
