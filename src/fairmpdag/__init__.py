@@ -30,7 +30,6 @@ from .density_gen import (
     models_to_json,
 )
 from .fair_train import (
-    EmptyFeatureSetError,
     EvalRecord,
     FairPredictor,
     InterventionalSet,
@@ -69,8 +68,7 @@ from .meek_engine import (
 )
 from .scm_lab import (
     Dataset,
-    LinearScm,
-    NonlinearScm,
+    Scm,
     child_rng,
     derive_seed,
     random_er_dag,

@@ -18,7 +18,7 @@ from .causal_ident import (
     is_identifiable,
     pco,
 )
-from .graph_core import GraphError, Pdag, parse_graph
+from .graph_core import GraphError, Pdag, located_message, parse_graph
 from .harness import ExperimentConfig, run_experiment
 from .meek_engine import construct_mpdag, cpdag_from_dag, parse_background_knowledge
 
@@ -28,9 +28,7 @@ def _load(path: str, parse=parse_graph):
     try:
         return parse(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        line = getattr(exc, "line", None)
-        line = f":{line}" if line is not None else ""
-        raise SystemExit(f"{path}{line}: {exc}")
+        raise SystemExit(located_message(path, exc))
 
 
 def _bucket_text(g: Pdag, bucket) -> str:

@@ -50,10 +50,6 @@ class Variant(enum.Enum):
     EPS_IFAIR = "eps_ifair"
 
 
-class EmptyFeatureSetError(ValueError):
-    """The variant's feature set is empty (no definite non-descendants)."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     hidden_width: int = 32
@@ -158,11 +154,14 @@ class FairPredictor:
     @classmethod
     def from_json(cls, text: str) -> "FairPredictor":
         raw = json.loads(text)
+        weights = {k: np.asarray(v, dtype=float) for k, v in raw["weights"].items()}
+        # a model without inputs stores w1 as [], which loses its shape
+        weights["w1"] = weights["w1"].reshape(len(raw["features"]), len(weights["b1"]))
         return cls(
             variant=Variant(raw["variant"]),
             features=tuple(raw["features"]),
             admissible=tuple(raw["admissible"]),
-            weights={k: np.asarray(v, dtype=float) for k, v in raw["weights"].items()},
+            weights=weights,
             lam=raw["lambda"],
             seed=raw["seed"],
             binary_outcome=raw["binary_outcome"],
@@ -302,7 +301,12 @@ def median_bandwidth(values: np.ndarray, cap: int = 512) -> float:
 def feature_set(
     variant: Variant, g: Pdag, sensitive: str, admissible: Iterable[str] = ()
 ) -> tuple[str, ...]:
-    """Predictor inputs for a variant, ordered by graph index."""
+    """Predictor inputs for a variant, ordered by graph index.
+
+    IFair may get no inputs at all (no definite non-descendants of the
+    sensitive vertex and no admissible vertices); it is then the constant
+    predictor.
+    """
     admissible = tuple(admissible)
     if variant in (Variant.FULL, Variant.EPS_IFAIR):
         return tuple(g.names)
@@ -310,10 +314,6 @@ def feature_set(
         return tuple(v for v in g.names if v != sensitive)
     feats = set(definite_nondescendants(g, sensitive)) | set(admissible)
     feats.discard(sensitive)
-    if not feats:
-        raise EmptyFeatureSetError(
-            f"no definite non-descendants of {sensitive!r} and no admissible vertices"
-        )
     return g.sort_vertices(feats)
 
 

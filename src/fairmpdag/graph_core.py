@@ -18,13 +18,11 @@ class GraphError(ValueError):
 
 
 class GraphParseError(GraphError):
-    """Malformed graph text; carries the offending line number."""
+    """Malformed graph text; ``line`` is the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
+    def __init__(self, message: str, line: int):
         super().__init__(message)
+        self.line = line
 
 
 class DirectedCycleError(GraphError):
@@ -247,6 +245,14 @@ def _kahn_order(dmat: np.ndarray) -> list[int]:
 
 
 # -- parsing ---------------------------------------------------------------
+
+
+def located_message(path, exc: Exception) -> str:
+    """``path:line: message`` for an error raised while reading ``path``, or
+    ``path: message`` when the error carries no ``line``."""
+    line = getattr(exc, "line", None)
+    where = str(path) if line is None else f"{path}:{line}"
+    return f"{where}: {exc}"
 
 
 def _content_lines(text: str):

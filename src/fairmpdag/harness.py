@@ -37,10 +37,11 @@ from .fair_train import (
     median_bandwidth,
     train_predictor,
 )
-from .graph_core import Pdag, parse_graph
+from .graph_core import Pdag, located_message, parse_graph
 from .meek_engine import construct_mpdag, cpdag_from_dag
 from .scm_lab import (
     Dataset,
+    Scm,
     child_rng,
     derive_seed,
     random_er_dag,
@@ -104,9 +105,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return _load(
+        cfg = _load(
             cls, json.loads(text), "config", graph_settings=[GraphSetting], train=TrainConfig
         )
+        if cfg.cpdag_dir is not None:
+            paths = [Path(cfg.cpdag_dir)] + [
+                cfg.cpdag_path(i, gid)
+                for i, setting in enumerate(cfg.graph_settings)
+                for gid in range(setting.count)
+            ]
+            for path in paths:
+                if not path.exists():
+                    raise ValueError(f"config: cpdag_dir: no such file or directory '{path}'")
+        return cfg
+
+    def cpdag_path(self, setting_idx: int, graph_id: int) -> Path:
+        """The file in ``cpdag_dir`` holding the CPDAG of one graph id."""
+        label = self.graph_settings[setting_idx].label
+        return Path(self.cpdag_dir) / f"{label}_g{graph_id}.graph"
 
 
 def _load(cls, raw, section: str, **nested):
@@ -149,7 +165,7 @@ class GraphCase:
 
     setting: GraphSetting
     graph_id: int
-    scm: object
+    scm: Scm
     obs: Dataset
     mpdag: Pdag
     candidates: tuple[Pdag, ...]
@@ -177,8 +193,11 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
     if cfg.cpdag_dir is not None:
         # externally learned graph (e.g. from a discovery algorithm) instead
         # of the CPDAG derived from the known DAG
-        path = Path(cfg.cpdag_dir) / f"{setting.label}_g{graph_id}.graph"
-        cpdag = parse_graph(path.read_text())
+        path = cfg.cpdag_path(setting_idx, graph_id)
+        try:
+            cpdag = parse_graph(path.read_text())
+        except ValueError as exc:
+            raise ValueError(located_message(path, exc)) from None
         if set(cpdag.names) != set(true_dag.names):
             raise ValueError(f"{path} does not cover the observed vertices")
     else:

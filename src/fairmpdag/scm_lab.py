@@ -1,11 +1,13 @@
 """Ground-truth generative models and sampling.
 
-Random ER DAGs, linear structural equation models over them (standard-normal
-noise, weights of magnitude 0.1..1), a nonlinear variant that pushes the
-noisy parent sum through a random mechanism, ancestral observational
-sampling, and true interventional sampling by clamping. The discrete
-sensitive vertex has its incoming edges removed when a model is built so its
-uniform exogenous draw stays consistent with the graph.
+Random ER DAGs and one structural model over them: each vertex is its
+standard-normal noise times a scale plus the weighted sum of its parents,
+pushed through a per-vertex mechanism. Linear models draw weights of
+magnitude 0.1..1 and use the identity mechanism; nonlinear models use unit
+weights and a random sin/cos/tanh/sigmoid mechanism. Sampling is ancestral
+for observational data and by clamping for true interventional data. The
+discrete sensitive vertex has its incoming edges removed when a model is
+built so its uniform exogenous draw stays consistent with the graph.
 
 All randomness flows from a single integer seed through
 :func:`numpy.random.SeedSequence` spawn keys, so any sampling step is
@@ -78,67 +80,57 @@ class Dataset:
         )
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
+        if not names:
+            return np.empty((self.n, 0))
         return np.column_stack([self.columns[name] for name in names])
 
 
 # -- models ------------------------------------------------------------------
 
 
+# Base mechanisms by tag; ``None`` marks the identity.
+MECHANISMS = {"linear": None, "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "sigmoid": expit}
+
+
 @dataclass(frozen=True)
-class LinearScm:
-    """Linear-Gaussian structural model with one discrete sensitive vertex."""
+class Scm:
+    """Structural model with one discrete sensitive vertex.
+
+    Every other vertex is its noise times ``noise_std`` plus the weighted sum
+    of its parents, pushed through ``mechanism``: a tuple of one base tag, or
+    two for the composite case (applied left to right).
+    """
 
     dag: Pdag
     weights: dict[tuple[str, str], float]
     noise_std: dict[str, float]
-    sensitive: str
-    sensitive_levels: int
-    outcome: str
-
-    def __post_init__(self):
-        _check_model(self)
-        if set(self.weights) != set(self.dag.directed_edges):
-            raise ValueError("weights must be keyed exactly by the DAG edges")
-        for edge, beta in self.weights.items():
-            if not 0.1 <= abs(beta) <= 1.0:
-                raise ValueError(f"|beta| outside [0.1, 1] on {edge}")
-
-
-MECHANISMS = ("linear", "sin", "cos", "tanh", "sigmoid")
-
-
-@dataclass(frozen=True)
-class NonlinearScm:
-    """Structural model applying a mechanism to the noisy parent sum.
-
-    ``mechanism`` maps each vertex to a tuple of one base tag, or two for the
-    composite case (applied left to right).
-    """
-
-    dag: Pdag
     mechanism: dict[str, tuple[str, ...]]
     sensitive: str
     sensitive_levels: int
     outcome: str
 
     def __post_init__(self):
-        _check_model(self)
+        if not self.dag.is_dag():
+            raise GraphError("model graph must be fully directed")
+        if self.sensitive == self.outcome:
+            raise ValueError("sensitive and outcome must differ")
+        if self.dag.parents_of(self.sensitive):
+            raise ValueError("sensitive vertex must have no incoming edges")
+        if self.dag.children_of(self.outcome):
+            raise ValueError("outcome must be a sink")
+        if self.sensitive_levels not in (2, 3):
+            raise ValueError("sensitive_levels must be 2 or 3")
+        if set(self.weights) != set(self.dag.directed_edges):
+            raise ValueError("weights must be keyed exactly by the DAG edges")
+        for edge, beta in self.weights.items():
+            if not 0.1 <= abs(beta) <= 1.0:
+                raise ValueError(f"|beta| outside [0.1, 1] on {edge}")
+        for name, table in (("noise_std", self.noise_std), ("mechanism", self.mechanism)):
+            if set(table) != set(self.dag.names):
+                raise ValueError(f"{name} must be keyed exactly by the DAG vertices")
         for v, tags in self.mechanism.items():
             if not 1 <= len(tags) <= 2 or any(t not in MECHANISMS for t in tags):
                 raise ValueError(f"bad mechanism {tags} for {v}")
-
-
-def _check_model(scm) -> None:
-    if not scm.dag.is_dag():
-        raise GraphError("model graph must be fully directed")
-    if scm.sensitive == scm.outcome:
-        raise ValueError("sensitive and outcome must differ")
-    if scm.dag.parents_of(scm.sensitive):
-        raise ValueError("sensitive vertex must have no incoming edges")
-    if scm.dag.children_of(scm.outcome):
-        raise ValueError("outcome must be a sink")
-    if scm.sensitive_levels not in (2, 3):
-        raise ValueError("sensitive_levels must be 2 or 3")
 
 
 # -- random generation --------------------------------------------------------
@@ -173,7 +165,7 @@ def _designate(dag: Pdag, rng: np.random.Generator, levels: int | None):
     return trimmed, sensitive, levels, outcome
 
 
-def random_linear_scm(dag: Pdag, seed: int, levels: int | None = None) -> LinearScm:
+def random_linear_scm(dag: Pdag, seed: int, levels: int | None = None) -> Scm:
     """Designate outcome/sensitive on ``dag`` and draw Uniform(±[0.1, 1]) weights."""
     rng = child_rng(seed, 1)
     trimmed, sensitive, levels, outcome = _designate(dag, rng, levels)
@@ -183,48 +175,31 @@ def random_linear_scm(dag: Pdag, seed: int, levels: int | None = None) -> Linear
         sign = 1.0 if rng.random() < 0.5 else -1.0
         weights[edge] = sign * magnitude
     noise_std = {v: 1.0 for v in trimmed.names}
-    return LinearScm(trimmed, weights, noise_std, sensitive, levels, outcome)
+    mechanism = {v: ("linear",) for v in trimmed.names}
+    return Scm(trimmed, weights, noise_std, mechanism, sensitive, levels, outcome)
 
 
-def random_nonlinear_scm(dag: Pdag, seed: int, levels: int | None = None) -> NonlinearScm:
-    """As :func:`random_linear_scm` but with random mechanisms per vertex."""
+def random_nonlinear_scm(dag: Pdag, seed: int, levels: int | None = None) -> Scm:
+    """Unit weights and noise, with a random mechanism per vertex."""
     rng = child_rng(seed, 2)
     trimmed, sensitive, levels, outcome = _designate(dag, rng, levels)
+    tags = tuple(MECHANISMS)
     mechanism = {}
     for v in trimmed.names:
         if rng.random() < 1 / 6:
-            tags = tuple(str(t) for t in rng.choice(MECHANISMS, size=2, replace=True))
+            mechanism[v] = tuple(str(t) for t in rng.choice(tags, size=2, replace=True))
         else:
-            tags = (str(rng.choice(MECHANISMS)),)
-        mechanism[v] = tags
-    return NonlinearScm(trimmed, mechanism, sensitive, levels, outcome)
+            mechanism[v] = (str(rng.choice(tags)),)
+    weights = {edge: 1.0 for edge in trimmed.directed_edges}
+    noise_std = {v: 1.0 for v in trimmed.names}
+    return Scm(trimmed, weights, noise_std, mechanism, sensitive, levels, outcome)
 
 
 # -- sampling ------------------------------------------------------------------
 
 
-def _apply_mechanism(tags: tuple[str, ...], x: np.ndarray) -> np.ndarray:
-    for tag in tags:
-        if tag == "linear":
-            continue
-        if tag == "sin":
-            x = np.sin(x)
-        elif tag == "cos":
-            x = np.cos(x)
-        elif tag == "tanh":
-            x = np.tanh(x)
-        elif tag == "sigmoid":
-            x = expit(x)
-        else:
-            raise ValueError(f"unknown mechanism {tag!r}")
-    return x
-
-
 def _ancestral_sample(
-    scm: LinearScm | NonlinearScm,
-    n: int,
-    rng: np.random.Generator,
-    clamp: Mapping[str, float],
+    scm: Scm, n: int, rng: np.random.Generator, clamp: Mapping[str, float]
 ) -> dict[str, np.ndarray]:
     columns: dict[str, np.ndarray] = {}
     for v in scm.dag.topological_order():
@@ -234,22 +209,18 @@ def _ancestral_sample(
         if v == scm.sensitive:
             columns[v] = rng.integers(0, scm.sensitive_levels, size=n).astype(float)
             continue
-        parents = scm.dag.parents_of(v)
-        if isinstance(scm, LinearScm):
-            value = scm.noise_std[v] * rng.standard_normal(n)
-            for p in parents:
-                value = value + scm.weights[(p, v)] * columns[p]
-        else:
-            total = rng.standard_normal(n)
-            for p in parents:
-                total = total + columns[p]
-            value = _apply_mechanism(scm.mechanism[v], total)
+        value = scm.noise_std[v] * rng.standard_normal(n)
+        for p in scm.dag.parents_of(v):
+            value = value + scm.weights[(p, v)] * columns[p]
+        for tag in scm.mechanism[v]:
+            if MECHANISMS[tag] is not None:
+                value = MECHANISMS[tag](value)
         columns[v] = value
     return {v: columns[v] for v in scm.dag.names}
 
 
 def sample_observational(
-    scm: LinearScm | NonlinearScm,
+    scm: Scm,
     n: int,
     seed: int,
     split: Sequence[tuple[str, int]] = SPLIT_811,
@@ -262,7 +233,7 @@ def sample_observational(
 
 
 def sample_interventional_truth(
-    scm: LinearScm | NonlinearScm,
+    scm: Scm,
     assignments: Mapping[str, float],
     n: int,
     seed: int,

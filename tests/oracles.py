@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.special import expit
 
 from fairmpdag import (
     DirectedCycleError,
@@ -217,6 +218,44 @@ def naive_mmd2(ya, yb, sigma: float) -> float:
     sbb = sum(k(a, b) for a in yb for b in yb) / len(yb) ** 2
     sab = sum(k(a, b) for a in ya for b in yb) / (len(ya) * len(yb))
     return float(saa + sbb - 2 * sab)
+
+
+def two_branch_sample(scm, kind: str, n: int, rng: np.random.Generator, clamp) -> dict:
+    """Ancestral sample with one arithmetic branch per kind of model.
+
+    ``"linear"`` scales the noise and adds the weighted parents, ignoring the
+    mechanisms; ``"nonlinear"`` adds the unweighted parents to the unscaled
+    noise and applies the mechanism tags through an if-chain, ignoring the
+    weights and noise scales.
+    """
+    columns = {}
+    for v in scm.dag.topological_order():
+        if v in clamp:
+            columns[v] = np.full(n, float(clamp[v]))
+            continue
+        if v == scm.sensitive:
+            columns[v] = rng.integers(0, scm.sensitive_levels, size=n).astype(float)
+            continue
+        parents = scm.dag.parents_of(v)
+        if kind == "linear":
+            value = scm.noise_std[v] * rng.standard_normal(n)
+            for p in parents:
+                value = value + scm.weights[(p, v)] * columns[p]
+        else:
+            value = rng.standard_normal(n)
+            for p in parents:
+                value = value + columns[p]
+            for tag in scm.mechanism[v]:
+                if tag == "sin":
+                    value = np.sin(value)
+                elif tag == "cos":
+                    value = np.cos(value)
+                elif tag == "tanh":
+                    value = np.tanh(value)
+                elif tag == "sigmoid":
+                    value = expit(value)
+        columns[v] = value
+    return columns
 
 
 # -- population linear-Gaussian machinery --------------------------------------

@@ -381,10 +381,11 @@ def _unidentifiable_case(truth_edges, outcome_edges, n_expected, seed):
     rng = np.random.default_rng(seed)
     for e in dag.directed_edges:
         weights[e] = float(rng.uniform(0.5, 1.0))
-    scm = fm.LinearScm(
+    scm = fm.Scm(
         dag=dag,
         weights=weights,
         noise_std={v: 1.0 for v in dag.names},
+        mechanism={v: ("linear",) for v in dag.names},
         sensitive="A",
         sensitive_levels=2,
         outcome="Y",

@@ -75,7 +75,7 @@ def test_parse_error_names_file_and_line(tmp_path, capsys):
     bad.write_text("A -> B\nA => C\n")
     with pytest.raises(SystemExit) as exc:
         main(["cpdag", str(bad)])
-    assert "bad.graph:2" in str(exc.value)
+    assert str(exc.value) == f"{bad}:2: unknown token in 'A => C'"
 
 
 def test_experiment_end_to_end(tmp_path, capsys):
@@ -129,3 +129,23 @@ def test_experiment_bad_config_names_file(tmp_path, text, named):
 def test_missing_file_names_file(tmp_path):
     with pytest.raises(SystemExit, match="none.graph: "):
         main(["cpdag", str(tmp_path / "none.graph")])
+
+
+def test_experiment_missing_cpdag_file_names_path(tmp_path):
+    (tmp_path / "learned").mkdir()
+    (tmp_path / "learned" / "4nodes3edges_g0.graph").write_text("A -> B\n")
+    for cpdag_dir, missing in (
+        ("none", "none"),
+        ("learned", "learned/4nodes3edges_g1.graph"),
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "graph_settings": [{"d": 4, "s": 3, "count": 2}],
+            "cpdag_dir": str(tmp_path / cpdag_dir),
+        }))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", str(config), "--out", str(tmp_path / "out")])
+        assert str(exc.value) == (
+            f"{config}: config: cpdag_dir: no such file or directory '{tmp_path / missing}'"
+        )
+        assert not (tmp_path / "out").exists()

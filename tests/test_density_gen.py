@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fairmpdag import (
-    LinearScm,
     enumerate_valid_orientations,
     fit_bucket_conditionals,
     generate_interventional,
@@ -124,13 +123,14 @@ class TestNondescendantInvariance:
     def test_generated_nondescendant_columns_match_observational(self):
         # W precedes A causally, so do(A) must leave the generated W marginal
         # at its observational distribution
-        from fairmpdag import LinearScm, median_bandwidth, mmd2
+        from fairmpdag import Scm, median_bandwidth, mmd2
 
         g = parse_graph("W -> X\nA -> X")
-        scm = LinearScm(
+        scm = Scm(
             dag=parse_graph("W -> X\nA -> X\nX -> Y"),
             weights={("W", "X"): 0.8, ("A", "X"): 0.6, ("X", "Y"): 0.9},
             noise_std={v: 1.0 for v in "WAXY"},
+            mechanism={v: ("linear",) for v in "WAXY"},
             sensitive="A",
             sensitive_levels=2,
             outcome="Y",

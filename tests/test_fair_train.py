@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fairmpdag import (
     Dataset,
-    EmptyFeatureSetError,
     EvalRecord,
     FairPredictor,
     InterventionalSet,
@@ -182,9 +181,17 @@ class TestFeatureSets:
         )
         assert feature_set(Variant.UNAWARE, star_triangle, "A") == ("X1", "X2", "X3")
 
-    def test_ifair_empty_raises(self, star_triangle):
-        with pytest.raises(EmptyFeatureSetError):
-            feature_set(Variant.IFAIR, star_triangle, "A")
+    def test_ifair_empty_is_constant_predictor(self, star_triangle):
+        assert feature_set(Variant.IFAIR, star_triangle, "A") == ()
+        obs = sample_observational(two_vertex_scm(), 400, seed=5)
+        model = train_predictor(
+            Variant.IFAIR, 0.0, obs, [], graph=parse_graph("node A"),
+            sensitive="A", outcome="X", config=TrainConfig(epochs=300), seed=1,
+        )
+        assert model.features == () and model.weights["w1"].shape == (0, 32)
+        pred = model.predict(obs.subset("test"))
+        assert np.ptp(pred) == 0.0
+        assert pred[0] == pytest.approx(obs.subset("train").columns["X"].mean(), abs=0.05)
 
     def test_ifair_uses_nondescendants_plus_admissible(self):
         g = parse_graph("W -> A\nA -> X")
@@ -270,12 +277,13 @@ class TestTraining:
 
     def test_ifair_ignores_excluded_columns_bitwise(self):
         g = parse_graph("A -> X\nW -> Y\nA -> Y\nX -> Y")
-        from fairmpdag import LinearScm
+        from fairmpdag import Scm
 
-        scm = LinearScm(
+        scm = Scm(
             dag=g,
             weights={e: 0.5 for e in g.directed_edges},
             noise_std={v: 1.0 for v in g.names},
+            mechanism={v: ("linear",) for v in g.names},
             sensitive="A",
             sensitive_levels=2,
             outcome="Y",
@@ -462,20 +470,22 @@ class TestHelpers:
         assert train_from_json('{"bandwidth_mode": 2}').bandwidth_mode == 2
 
     def test_predictor_json_roundtrip(self):
-        p = FairPredictor(
-            variant=Variant.IFAIR,
-            features=("W",),
-            admissible=(),
-            weights={
-                "w1": np.ones((1, 2)),
-                "b1": np.zeros(2),
-                "w2": np.ones((2, 1)),
-                "b2": np.zeros(1),
-            },
-            lam=0.5,
-            seed=3,
-        )
-        q = FairPredictor.from_json(p.to_json())
-        assert q.variant is p.variant and q.features == p.features
-        x = np.array([[0.2], [1.4]])
-        assert np.allclose(p.predict_matrix(x), q.predict_matrix(x))
+        for features in (("W",), ()):  # () is the constant IFair predictor
+            p = FairPredictor(
+                variant=Variant.IFAIR,
+                features=features,
+                admissible=(),
+                weights={
+                    "w1": np.ones((len(features), 2)),
+                    "b1": np.full(2, 0.3),
+                    "w2": np.ones((2, 1)),
+                    "b2": np.zeros(1),
+                },
+                lam=0.5,
+                seed=3,
+            )
+            q = FairPredictor.from_json(p.to_json())
+            assert q.variant is p.variant and q.features == p.features
+            assert q.weights["w1"].shape == (len(features), 2)
+            x = np.array([[0.2], [1.4]])[:, : len(features)]
+            assert np.allclose(p.predict_matrix(x), q.predict_matrix(x))

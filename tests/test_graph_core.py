@@ -64,8 +64,9 @@ class TestParse:
             ("A -- B\nB -> A", "duplicate edge between 'B' and 'A'"),
             ("A -- B\nA -- B", "duplicate edge between 'A' and 'B'"),
         ):
-            with pytest.raises(GraphParseError, match=f"line 2: {message}"):
+            with pytest.raises(GraphParseError, match=f"^{message}$") as exc:
                 parse_graph(text)
+            assert exc.value.line == 2
 
     def test_self_edge(self):
         with pytest.raises(GraphParseError, match="self-edge"):

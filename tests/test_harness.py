@@ -106,7 +106,8 @@ class TestBuildCase:
     def test_nonlinear_kind_runs(self):
         cfg = small_config(scm_kind="nonlinear", seed=21)
         case = build_case(cfg, 0, 0)
-        assert case.scm.mechanism  # nonlinear ground truth
+        tags = {t for mechanism in case.scm.mechanism.values() for t in mechanism}
+        assert tags - {"linear"}  # nonlinear ground truth
         rec, _ = run_case(cfg, case, Variant.EPS_IFAIR, 5.0, 0)
         assert np.isfinite(rec.rmse) and rec.mmd2 >= -1e-9
 
@@ -283,6 +284,19 @@ class TestRunExperiment:
         result = run_experiment(cfg, tmp_path)
         assert any(f["stage"] == "build" for f in result.failures)
         assert "exceed the candidate cap" in result.failures[0]["error"]
+
+    def test_cpdag_dir_checked_at_load_and_parse_errors_located(self, tmp_path):
+        text = config_json(setting={"count": 2}, cpdag_dir=str(tmp_path))
+        paths = [tmp_path / f"4nodes3edges_g{gid}.graph" for gid in range(2)]
+        paths[0].write_text("A -> B\nA => C\n")
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_json(text)
+        assert str(exc.value) == f"config: cpdag_dir: no such file or directory '{paths[1]}'"
+        paths[1].write_text("A -> B\nA => C\n")
+        result = run_experiment(ExperimentConfig.from_json(text), tmp_path / "out")
+        assert [(f["stage"], f["error"]) for f in result.failures] == [
+            ("build", f"{path}:2: unknown token in 'A => C'") for path in paths
+        ]
 
 
 def test_dump_predictions_matches_csv_writer_bytes(tmp_path):

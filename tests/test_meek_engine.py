@@ -210,5 +210,6 @@ def test_parse_background_knowledge():
     )
     from fairmpdag import GraphParseError
 
-    with pytest.raises(GraphParseError, match="line 1"):
-        parse_background_knowledge("A -- B")
+    with pytest.raises(GraphParseError, match="^expected 'NAME -> NAME'") as exc:
+        parse_background_knowledge("# c\nA -- B")
+    assert exc.value.line == 2

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmpdag import (
     Dataset,
-    LinearScm,
-    NonlinearScm,
     Pdag,
+    Scm,
     definite_nondescendants,
     mmd2,
     median_bandwidth,
@@ -16,17 +17,23 @@ from fairmpdag import (
     sample_interventional_truth,
     sample_observational,
 )
-from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, split_tags
+from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, child_rng, split_tags
 
-from .oracles import permutation_null_quantile
+from .oracles import permutation_null_quantile, two_branch_sample
+
+
+# noise scales and identity mechanisms for the two-vertex graph A -> X
+UNIT = {"A": 1.0, "X": 1.0}
+LINEAR = {"A": ("linear",), "X": ("linear",)}
 
 
 def two_vertex_scm(beta=0.5, noise=1.0):
     dag = parse_graph("A -> X")
-    return LinearScm(
+    return Scm(
         dag=dag,
         weights={("A", "X"): beta},
         noise_std={"A": 1.0, "X": noise},
+        mechanism=LINEAR,
         sensitive="A",
         sensitive_levels=2,
         outcome="X",
@@ -84,7 +91,21 @@ class TestRandomScm:
     def test_validation_rejects_bad_weight(self):
         dag = parse_graph("A -> X")
         with pytest.raises(ValueError, match="outside"):
-            LinearScm(dag, {("A", "X"): 0.01}, {"A": 1.0, "X": 1.0}, "A", 2, "X")
+            Scm(dag, {("A", "X"): 0.01}, UNIT, LINEAR, "A", 2, "X")
+
+    @pytest.mark.parametrize(
+        "noise_std, mechanism, message",
+        [
+            (UNIT, {"A": ("linear",), "X": ("relu",)}, "bad mechanism"),
+            (UNIT, {"A": ("linear",), "X": ("sin", "cos", "tanh")}, "bad mechanism"),
+            ({"X": 1.0}, LINEAR, "noise_std must be keyed"),
+            (UNIT, {"X": ("linear",)}, "mechanism must be keyed"),
+        ],
+    )
+    def test_validation_rejects_bad_tables(self, noise_std, mechanism, message):
+        dag = parse_graph("A -> X")
+        with pytest.raises(ValueError, match=message):
+            Scm(dag, {("A", "X"): 0.5}, noise_std, mechanism, "A", 2, "X")
 
 
 class TestSampling:
@@ -116,7 +137,7 @@ class TestSampling:
 
     def test_sensitive_levels_uniformish(self):
         dag = parse_graph("A -> X")
-        scm = LinearScm(dag, {("A", "X"): 0.5}, {"A": 1.0, "X": 1.0}, "A", 3, "X")
+        scm = Scm(dag, {("A", "X"): 0.5}, UNIT, LINEAR, "A", 3, "X")
         data = sample_observational(scm, 3000, seed=23)
         counts = np.bincount(data.columns["A"].astype(int), minlength=3)
         assert counts.min() > 800
@@ -192,17 +213,46 @@ class TestNonlinearSampling:
 
     def test_bounded_mechanisms_bounded_output(self):
         dag = parse_graph("A -> X")
-        scm = NonlinearScm(dag, {"A": ("linear",), "X": ("tanh",)}, "A", 2, "X")
+        mechanism = {"A": ("linear",), "X": ("tanh",)}
+        scm = Scm(dag, {("A", "X"): 1.0}, UNIT, mechanism, "A", 2, "X")
         data = sample_observational(scm, 400, seed=71)
         assert np.all(np.abs(data.columns["X"]) <= 1.0)
 
     def test_composite_mechanism_applies_in_order(self):
         dag = parse_graph("A -> X")
-        scm = NonlinearScm(dag, {"A": ("linear",), "X": ("sigmoid", "sin")}, "A", 2, "X")
+        mechanism = {"A": ("linear",), "X": ("sigmoid", "sin")}
+        scm = Scm(dag, {("A", "X"): 1.0}, UNIT, mechanism, "A", 2, "X")
         data = sample_observational(scm, 400, seed=73)
         # sin of a sigmoid stays within sin([0, 1])
         assert np.all(data.columns["X"] >= 0.0)
         assert np.all(data.columns["X"] <= np.sin(1.0) + 1e-12)
+
+
+MAKERS = {"linear": random_linear_scm, "nonlinear": random_nonlinear_scm}
+
+
+@given(
+    kind=st.sampled_from(sorted(MAKERS)),
+    d=st.integers(2, 8),
+    edge_share=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    extra_clamp=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_samples_bit_identical_to_two_branch_reference(kind, d, edge_share, seed, extra_clamp):
+    dag = random_er_dag(d, round(edge_share * (d * (d - 1) // 2)), seed)
+    scm = MAKERS[kind](dag, seed)
+    n = 40
+    pairs = [(sample_observational(scm, n, seed), child_rng(seed, 3), {})]
+    clamp = {scm.sensitive: float(scm.sensitive_levels - 1)}
+    if extra_clamp:
+        clamp[scm.dag.topological_order()[-1]] = 0.7
+    done = sample_interventional_truth(scm, clamp, n, seed)
+    pairs.append((done, child_rng(seed, 4), clamp))
+    for data, rng, assigned in pairs:
+        expected = two_branch_sample(scm, kind, n, rng, assigned)
+        for v in scm.dag.names:
+            assert data.columns[v].tobytes() == expected[v].tobytes(), v
 
 
 class TestDataset:
@@ -220,3 +270,7 @@ class TestDataset:
             np.array(["train", "train"]),
         )
         assert np.array_equal(d.matrix(["b", "a"]), np.array([[3.0, 1.0], [4.0, 2.0]]))
+
+    def test_matrix_of_no_columns_keeps_rows(self):
+        d = Dataset({"a": np.array([1.0, 2.0])}, np.array(["train", "val"]))
+        assert d.matrix(()).shape == (2, 0)
