@@ -21,9 +21,19 @@ context and builds each self block K_ii and each cross block K_ij (i < j)
 once, L + L(L-1)/2 blocks for L levels instead of three per level pair. The
 gradient with respect to each level's predictions comes from the same
 blocks; the validation pass and evaluation take the value-only path. Blocks
-are built in cache-sized row chunks with two reused buffers. Precision
-policy: only gradient blocks with more than 65536 entries are evaluated in
-float32; every value-only block and every smaller gradient block is float64.
+are built in cache-sized row chunks with two reused buffers, and a self
+block only from the diagonal on: its upper triangle plus the square each
+row chunk has on the diagonal, from which symmetry gives the whole block's
+mean and row sums. Precision policy: only gradient blocks with more than
+65536 entries are evaluated in float32; every value-only block and every
+smaller gradient block is float64.
+
+The median-heuristic bandwidth (``median_bandwidth``) is selected by
+sorted-difference selection: the differences s[j] - s[i] (i < j) of the
+sorted values are monotone in both indices, so counts below a threshold are
+search positions and only the differences inside a bracket around the median
+are listed. The result is bit-identical to the median of all pairwise
+squared distances.
 """
 from __future__ import annotations
 
@@ -186,10 +196,18 @@ def _kernel_block(pa, pb, sigma, want_grads, symmetric):
     """Mean of the Gaussian kernel block K[k, l] = exp(-(pa[k] - pb[l])^2 / sigma).
 
     With ``want_grads`` also returns the row sums of (pa[k] - pb[l]) K[k, l]
-    and, unless the block is a self block (``symmetric``), the column sums,
-    both in float64. The block is built in row chunks of about
-    ``_CHUNK_ENTRIES`` entries, in two buffers reused for every chunk: the
-    differences, which then hold the product, and the kernel.
+    and, unless the block is a self block (``symmetric``, ``pb`` is ``pa``),
+    the column sums, both in float64. The block is built in row chunks of
+    about ``_CHUNK_ENTRIES`` entries, in two buffers reused for every chunk:
+    the differences, which then hold the product, and the kernel.
+
+    A self block builds, for each chunk, only the columns from the chunk's
+    first row on: its square on the diagonal and the strip to its right,
+    about half the block. K is symmetric, so the block sum is twice the strip
+    sums less the diagonal squares; (pa[k] - pa[l]) K[k, l] is antisymmetric,
+    so a row's sum is its strip sum less the column sum of the strips above
+    it. The diagonal entries are built, so a NaN or infinite prediction still
+    makes the mean and its row NaN.
     """
     big = want_grads and len(pa) * len(pb) > _FLOAT32_BLOCK
     dtype = np.float32 if big else np.float64
@@ -197,32 +215,36 @@ def _kernel_block(pa, pb, sigma, want_grads, symmetric):
     pb = pb.astype(dtype, copy=False)
     scale = dtype(-1.0 / sigma)
     step = min(len(pa), max(1, _CHUNK_ENTRIES // len(pb)))
-    # Row 0 of ``diff`` carries the column sums of the chunks before, so that
-    # summing over axis 0 adds rows in the order one pass over the block would.
-    diff = np.empty((step + 1, len(pb)), dtype)
-    kern = np.empty((step, len(pb)), dtype)
+    diff_buf = np.empty((step + 1) * len(pb), dtype)
+    kern_buf = np.empty(step * len(pb), dtype)
     total = 0.0
     rows = np.empty(len(pa)) if want_grads else None
-    cols = None
+    cols = np.zeros(len(pb), dtype) if want_grads else None
     for start in range(0, len(pa), step):
         chunk = pa[start:start + step]
-        d = diff[1:1 + len(chunk)]
-        k = kern[: len(chunk)]
-        np.subtract.outer(chunk, pb, out=d)
+        first = start if symmetric else 0
+        c, w = len(chunk), len(pb) - first
+        # Row 0 of ``diff`` carries the column sums of the chunks before, so
+        # that summing over axis 0 adds rows in the order one pass would.
+        diff = diff_buf[: (c + 1) * w].reshape(c + 1, w)
+        d, k = diff[1:], kern_buf[: c * w].reshape(c, w)
+        np.subtract.outer(chunk, pb[first:], out=d)
         np.multiply(d, d, out=k)
         k *= scale
         np.exp(k, out=k)
-        total += float(k.sum())
+        strip = float(k.sum())
+        total += 2.0 * strip - float(k[:, :c].sum()) if symmetric else strip
         if want_grads:
             d *= k
-            rows[start:start + len(chunk)] = d.sum(axis=1)
-            if not symmetric:
-                cols = diff[int(start == 0):1 + len(chunk)].sum(axis=0)
-                diff[0] = cols
+            rows[start:start + c] = d.sum(axis=1)
+            if symmetric:
+                rows[start:start + c] -= cols[start:start + c]
+            diff[0] = cols[first:]
+            cols[first:] = diff.sum(axis=0)
     mean = total / (len(pa) * len(pb))
-    if cols is not None:
-        cols = cols.astype(np.float64)
-    return mean, rows, cols
+    if symmetric or not want_grads:
+        return mean, rows, None
+    return mean, rows, cols.astype(np.float64)
 
 
 def _context_mmd2(preds, sigma, want_grads=False):
@@ -264,35 +286,101 @@ def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: float) -> float:
     return _context_mmd2([pa, pb], bandwidth)[0]
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_flat_index(n: int) -> np.ndarray:
-    """Flat indices of the strict upper triangle of an n x n matrix, row-major."""
-    rows, cols = np.triu_indices(n, k=1)
-    flat = rows * n + cols
-    flat.flags.writeable = False
-    return flat
-
-
 def median_bandwidth(values: np.ndarray, cap: int = 512) -> float:
-    """Median pairwise squared distance, on an even subsample past ``cap``."""
+    """Median pairwise squared distance, on an even subsample past ``cap``.
+
+    Falls back to the mean squared distance when the median is 0, and to 1.0
+    when that is 0 too, when there are fewer than two values, or when a
+    distance is NaN. The median distance is selected from the sorted values
+    (``_select_gaps``) without forming all n(n-1)/2 distances; squaring is
+    monotone, so its square is the median squared distance.
+    """
     v = np.asarray(values, dtype=float).ravel()
     if len(v) > cap:
         v = v[np.linspace(0, len(v) - 1, cap).astype(int)]
-    if len(v) < 2:
+    n = len(v)
+    if n < 2 or np.isnan(v).any():
         return 1.0
-    upper = np.subtract.outer(v, v).ravel()[_upper_flat_index(len(v))]
-    np.square(upper, out=upper)
-    if np.isnan(upper).any():
-        return 1.0  # as np.median and the mean would give NaN
-    # np.median's partition at three positions is several times slower than
-    # one partition and a max; the result is the same.
-    half = len(upper) // 2
-    part = np.partition(upper, half)
-    med = float(part[half] if len(upper) % 2 else (part[:half].max() + part[half]) / 2)
+    s = np.sort(v)
+    if s[1] == -np.inf or s[-2] == np.inf:
+        return 1.0  # a repeated infinity: inf - inf is NaN
+    # the at most two infinite values are an infinite distance from the rest
+    finite = s[np.isfinite(s)]
+    pairs = n * (n - 1) // 2
+    ranks = [pairs // 2] if pairs % 2 else [pairs // 2 - 1, pairs // 2]
+    within = len(finite) * (len(finite) - 1) // 2
+    gaps = _select_gaps(finite, [r for r in ranks if r < within])
+    squares = [g * g for g in gaps] + [math.inf] * (len(ranks) - len(gaps))
+    med = squares[0] if len(squares) == 1 else (squares[0] + squares[1]) / 2
     if med > 0:
         return med
+    upper = np.square(np.subtract.outer(v, v)[np.triu_indices(n, 1)])
     mean = float(upper.mean())
     return mean if mean > 0 else 1.0
+
+
+# ``_select_gaps`` brackets the wanted gaps with the gaps of at most this many
+# evenly spaced sorted values.
+_GAP_SAMPLE = 64
+
+
+def _select_gaps(s, ranks):
+    """The ``ranks``-th smallest (from 0, ascending) of the gaps s[j] - s[i],
+    i < j, of the sorted finite values ``s``, as floats.
+
+    The gaps of an even subsample of m values of ``s`` give a bracket: their
+    quantiles at the ranks' share of all gaps, less and plus 2/m. Then
+    ``_gaps_between`` counts the gaps below the bracket and lists those in
+    it, and one partition picks the ranks. A subsample can mislead; if the
+    bracket misses a rank, every gap is listed instead.
+    """
+    if not ranks:
+        return []
+    sub = s[:: math.ceil(len(s) / _GAP_SAMPLE)]
+    sample = np.sort((sub - sub[:, None])[np.triu_indices(len(sub), 1)])
+    pairs = len(s) * (len(s) - 1) // 2
+    margin = 2.0 / len(sub)
+    lo_at = math.floor((ranks[0] / pairs - margin) * len(sample))
+    hi_at = math.ceil((ranks[-1] / pairs + margin) * len(sample))
+    lo = sample[lo_at] if lo_at >= 0 else -math.inf
+    hi = sample[hi_at] if hi_at < len(sample) else math.inf
+    below, band = _gaps_between(s, lo, hi)
+    if not below <= ranks[0] <= ranks[-1] < below + len(band):
+        below, band = _gaps_between(s, -math.inf, math.inf)
+    picked = np.partition(band, [r - below for r in ranks])
+    return [float(picked[r - below]) for r in ranks]
+
+
+def _gaps_between(s, lo, hi):
+    """The number of gaps s[j] - s[i] (i < j) of the sorted finite values
+    ``s`` below ``lo``, and the gaps in [lo, hi], in no particular order."""
+    idx = np.arange(len(s))
+    start = np.maximum(_gap_rank(s, lo, "left"), idx + 1)
+    stop = np.maximum(_gap_rank(s, hi, "right"), idx + 1)
+    counts = stop - start
+    rows = np.repeat(idx, counts)
+    cols = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+    return int((start - idx - 1).sum()), s[cols] - s[rows]
+
+
+def _gap_rank(s, t, side):
+    """For each i, the number of j with s[j] - s[i] < t (``side="left"``) or
+    <= t (``"right"``) over the sorted finite values ``s``, the differences
+    rounded as floats.
+
+    Rounding is monotone, so each row of differences is sorted and the count
+    is a search position. Searching ``s`` for s[i] + t rounds that sum, so
+    the position is checked against the exact differences on either side of
+    it, and a row that fails the check is counted in full.
+    """
+    below = np.less if side == "left" else np.less_equal
+    pos = np.searchsorted(s, s + t, side)
+    last = len(s) - 1
+    ok = (pos == 0) | below(s[np.maximum(pos - 1, 0)] - s, t)
+    ok &= (pos > last) | ~below(s[np.minimum(pos, last)] - s, t)
+    wrong = np.flatnonzero(~ok)
+    pos[wrong] = np.count_nonzero(below(s - s[wrong, None], t), axis=1)
+    return pos
 
 
 # -- feature selection ----------------------------------------------------------

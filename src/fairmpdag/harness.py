@@ -8,12 +8,14 @@ interventional training data from the identification formula, train every
 predictor variant over the lambda grid, and score each run against
 ground-truth interventional samples. Results land in ``tradeoff.csv`` with
 per-run prediction dumps and serialized models; failures are recorded per
-run instead of aborting the sweep.
+run instead of aborting the sweep, and a run whose rmse or mmd2 is not
+finite is a failure, never a row.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -305,9 +307,15 @@ def run_plan(cfg: ExperimentConfig) -> list[tuple[Variant, float]]:
     return baselines + [(Variant.EPS_IFAIR, lam) for lam in cfg.train.lambda_grid]
 
 
+class NonFiniteMetricError(ValueError):
+    """A trained model scored a NaN or infinite rmse or mmd2."""
+
+
 def run_case(
     cfg: ExperimentConfig, case: GraphCase, variant: Variant, lam: float, seed: int
 ) -> tuple[EvalRecord, "FairPredictor"]:
+    """Train one predictor and score it; raises ``NonFiniteMetricError`` when
+    its rmse or mmd2 is not finite."""
     model = train_predictor(
         variant,
         lam,
@@ -327,6 +335,8 @@ def run_case(
         outcome=case.outcome,
         bandwidth_mode=case.eval_bandwidth,
     )
+    if not (math.isfinite(record.rmse) and math.isfinite(record.mmd2)):
+        raise NonFiniteMetricError(f"rmse={record.rmse!r} mmd2={record.mmd2!r} is not finite")
     return record, model
 
 
@@ -366,6 +376,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
                     tag = base | {"model": variant.value, "lambda": lam, "seed": seed}
                     try:
                         record, model = run_case(cfg, case, variant, lam, run_seed)
+                    except NonFiniteMetricError as exc:
+                        failures.append(tag | {"stage": "eval", "error": str(exc)})
+                        continue
                     except Exception as exc:  # noqa: BLE001
                         failures.append(tag | {"stage": "train", "error": str(exc)})
                         continue

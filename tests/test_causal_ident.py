@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairmpdag import (
     GraphError,
@@ -12,6 +14,7 @@ from fairmpdag import (
     exists_proper_possibly_causal_path_starting_undirected,
     identification_formula,
     is_identifiable,
+    meek_closure,
     parents,
     parse_graph,
     pco,
@@ -238,3 +241,17 @@ class TestIdentificationUniqueness:
             population_do_means(m, sigma, {"A": 1.0})["X"] for m in members
         )
         assert values[1] - values[0] >= 0.1
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_candidates_are_closed_and_identifying(seed, size):
+    rng = np.random.default_rng(seed)
+    _, _, g = random_mpdag(rng, max_n=7)
+    intervened = [g.names[int(i)] for i in rng.choice(g.n, size=size, replace=False)]
+    assume(not is_identifiable(g, intervened))
+    candidates = enumerate_valid_orientations(g, intervened)
+    assert candidates and len(set(candidates)) == len(candidates)
+    for c in candidates:
+        assert meek_closure(c) == c
+        assert is_identifiable(c, intervened)

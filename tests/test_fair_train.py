@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmpdag import (
@@ -23,7 +23,9 @@ from fairmpdag import (
     train_predictor,
 )
 from fairmpdag.fair_train import (
+    _FLOAT32_BLOCK,
     _context_mmd2,
+    _gap_rank,
     _init_params,
     _kernel_block,
     _objective_and_grads,
@@ -32,7 +34,7 @@ from fairmpdag.fair_train import (
 from fairmpdag.scm_lab import child_rng, split_tags
 
 from .conftest import train_from_json
-from .oracles import naive_mmd2
+from .oracles import naive_mmd2, triu_median_bandwidth
 from .test_scm_lab import two_vertex_scm
 
 
@@ -107,6 +109,80 @@ class TestContextMmd2:
         _, rows, cols = _kernel_block(pa, pb, sigma, want_grads=True, symmetric=False)
         assert np.array_equal(rows, prod.sum(axis=1).astype(np.float64))
         assert np.array_equal(cols, prod.sum(axis=0).astype(np.float64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sizes", [(6, 9), (1, 9), (5, 7, 1)])
+    def test_non_finite_prediction_gives_non_finite_value(self, bad, sizes):
+        # the bad value sits alone in its level when that level has one row
+        rng = np.random.default_rng(251)
+        preds = [rng.normal(size=n) for n in sizes]
+        level = sizes.index(min(sizes))
+        preds[level][0] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(_context_mmd2(preds, 0.9)[0])
+            value, grads = _context_mmd2(preds, 0.9, want_grads=True)
+        assert not np.isfinite(value)
+        assert not np.isfinite(grads[level][0])
+
+    @given(
+        st.lists(st.integers(1, 12), min_size=2, max_size=4),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 5.0),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_level_permutation_permutes_gradients(self, sizes, seed, sigma, shuffler):
+        rng = np.random.default_rng(seed)
+        preds = [rng.normal(loc=rng.normal(), size=n) for n in sizes]
+        order = list(range(len(preds)))
+        shuffler.shuffle(order)
+        value, grads = _context_mmd2(preds, sigma, want_grads=True)
+        moved, moved_grads = _context_mmd2([preds[i] for i in order], sigma, want_grads=True)
+        assert moved == pytest.approx(value, abs=1e-12)
+        for g, i in zip(moved_grads, order):
+            np.testing.assert_allclose(g, grads[i], rtol=0, atol=1e-12)
+
+    @given(
+        st.integers(1, 40),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 5.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_identical_levels_give_zero(self, n, levels, seed, sigma):
+        sample = np.random.default_rng(seed).normal(size=n)
+        preds = [sample.copy() for _ in range(levels)]
+        assert _context_mmd2(preds, sigma)[0] == pytest.approx(0.0, abs=1e-12)
+        value, grads = _context_mmd2(preds, sigma, want_grads=True)
+        assert value == pytest.approx(0.0, abs=1e-12)
+        for g in grads:
+            np.testing.assert_allclose(g, 0.0, rtol=0, atol=1e-12)
+
+    @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.floats(0.1, 5.0))
+    @example(200, 1, 1.3)  # float64, two row chunks
+    @example(257, 2, 0.4)  # the smallest float32 gradient block
+    @example(800, 3, 1.1)  # float32, twenty row chunks
+    @settings(max_examples=60, deadline=None)
+    def test_self_block_matches_full_block(self, n, seed, sigma):
+        # the strips of a self block give the mean and row sums of the whole
+        # block: 1e-12 in float64; a float32 gradient block (more than
+        # _FLOAT32_BLOCK entries) within the rounding bound of n float32
+        # additions of terms of magnitude (|p_k| + |p_l|) K[k, l]
+        p = np.random.default_rng(seed).normal(scale=2.0, size=n)
+        diff = p[:, None] - p[None, :]
+        kern = np.exp(-(diff * diff) / sigma)
+        mean, rows, cols = _kernel_block(p, p, sigma, want_grads=False, symmetric=True)
+        assert rows is None and cols is None
+        assert mean == pytest.approx(kern.mean(), abs=1e-12)
+        _, rows, cols = _kernel_block(p, p, sigma, want_grads=True, symmetric=True)
+        assert cols is None
+        full = (diff * kern).sum(axis=1)
+        if n * n > _FLOAT32_BLOCK:
+            scale = ((np.abs(p)[:, None] + np.abs(p)[None, :]) * kern).sum(axis=1)
+            tol = n * np.finfo(np.float32).eps * scale
+        else:
+            tol = 1e-12
+        assert np.all(np.abs(rows - full) <= tol)
 
 
 class TestGradients:
@@ -451,6 +527,61 @@ class TestHelpers:
         v = values if n <= 512 else values[np.linspace(0, n - 1, 512).astype(int)]
         d2 = (v[:, None] - v[None, :]) ** 2
         assert median_bandwidth(values) == float(np.median(d2[np.triu_indices(len(v), 1)]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # 7 tenths shifted by 1/3: gaps that are equal in decimal differ in
+            # the last bit, and counting through s[i] + t picks a neighbour
+            np.repeat(
+                np.array([-1.1, -1.0, 0.2, 0.7, 1.1, 2.3, 2.4]) + 1 / 3,
+                [32, 28, 36, 30, 32, 43, 36],
+            ),
+            # a tie block the subsample overweights: the bracket from its
+            # gaps misses the median, so every gap is listed
+            np.concatenate([-1 - np.arange(64) / 400, np.zeros(272), 1 + np.arange(64) / 400]),
+        ],
+    )
+    def test_median_bandwidth_hard_inputs(self, values):
+        assert median_bandwidth(values) == triu_median_bandwidth(values)
+
+    def test_gap_rank_counts_rounded_differences(self):
+        rng = np.random.default_rng(17)
+        s = np.sort(np.round(rng.uniform(-3, 3, size=40), 1) + 1 / 3)
+        diff = s - s[:, None]
+        for t in np.unique(diff):
+            assert np.array_equal(_gap_rank(s, t, "left"), (diff < t).sum(axis=1))
+            assert np.array_equal(_gap_rank(s, t, "right"), (diff <= t).sum(axis=1))
+
+    def test_median_bandwidth_bit_identical_to_oracle_on_fuzzed_inputs(self):
+        rng = np.random.default_rng(9)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308])
+        with np.errstate(all="ignore"):
+            for case in range(3200):
+                n = int(rng.integers(0, 601))
+                kind = case % 8
+                if kind == 0:
+                    v = rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4))
+                elif kind == 1:  # values rounded to 1-2 decimals
+                    v = np.round(rng.normal(size=n), int(rng.integers(1, 3)))
+                elif kind == 2:  # all equal
+                    v = np.full(n, rng.normal())
+                elif kind == 3:  # heavy ties
+                    v = rng.integers(-3, 4, size=n).astype(float)
+                elif kind == 4:  # subnormals
+                    v = rng.normal(size=n) * 5e-324 * int(rng.integers(1, 100))
+                elif kind == 5:  # mostly zeros: the mean fallback
+                    v = np.where(rng.random(n) < 0.7, 0.0, rng.normal(size=n))
+                elif kind == 6:  # rounded values far from zero
+                    v = np.round(rng.uniform(-1, 1, size=n), 1) + rng.normal() * 1e3
+                else:  # heavy tails, overflowing differences
+                    v = rng.standard_cauchy(size=n) * 1e300
+                if n and rng.random() < 0.5:
+                    k = int(rng.integers(1, 4))
+                    v[rng.integers(0, n, size=k)] = rng.choice(specials, size=k)
+                got = median_bandwidth(v)
+                assert type(got) is float
+                assert got == triu_median_bandwidth(v), (case, n)
 
     def test_train_config_from_json(self):
         cfg = train_from_json('{"hidden_width": 8, "lambda_grid": [0, 1.5]}')

@@ -5,10 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fairmpdag import harness
 from fairmpdag.fair_train import TrainConfig, Variant
 from fairmpdag.harness import (
     ExperimentConfig,
     GraphSetting,
+    NonFiniteMetricError,
     _dump_predictions,
     build_case,
     run_case,
@@ -268,7 +270,7 @@ class TestRunExperiment:
         result = run_experiment(cfg, tmp_path)
         expected = 2 * len(run_plan(cfg)) * len(cfg.train.seeds)
         assert len(result.rows) + len(
-            [f for f in result.failures if f["stage"] == "train"]
+            [f for f in result.failures if f["stage"] in ("train", "eval")]
         ) == expected - 5 * len(
             [f for f in result.failures if f["stage"] == "build"]
         )
@@ -284,6 +286,32 @@ class TestRunExperiment:
         result = run_experiment(cfg, tmp_path)
         assert any(f["stage"] == "build" for f in result.failures)
         assert "exceed the candidate cap" in result.failures[0]["error"]
+
+    def test_non_finite_metrics_are_eval_failures_not_rows(self, tmp_path, monkeypatch):
+        # an infinite output bias makes every prediction inf: rmse inf, mmd2 NaN
+        train = harness.train_predictor
+
+        def inf_when_penalised(variant, lam, *args, **kwargs):
+            model = train(variant, lam, *args, **kwargs)
+            if lam > 0:
+                model.weights["b2"] = np.array([np.inf])
+            return model
+
+        monkeypatch.setattr(harness, "train_predictor", inf_when_penalised)
+        cfg = small_config(graph_settings=(GraphSetting(d=5, s=6, count=1),))
+        case = build_case(cfg, 0, 0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteMetricError, match="rmse=inf mmd2=nan"):
+                run_case(cfg, case, Variant.EPS_IFAIR, 5.0, 0)
+            result = run_experiment(cfg, tmp_path)
+        assert [(f["model"], f["lambda"], f["stage"]) for f in result.failures] == [
+            ("eps_ifair", 5.0, "eval")
+        ]
+        assert len(result.rows) == len(run_plan(cfg)) - 1
+        assert all(np.isfinite(float(r[k])) for r in result.rows for k in ("rmse", "mmd2"))
+        with open(tmp_path / "failures.csv", newline="") as fh:
+            assert [r["stage"] for r in csv.DictReader(fh)] == ["eval"]
+        assert not list((tmp_path / "predictions").glob("*lam5.0*"))
 
     def test_cpdag_dir_checked_at_load_and_parse_errors_located(self, tmp_path):
         text = config_json(setting={"count": 2}, cpdag_dir=str(tmp_path))

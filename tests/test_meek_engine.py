@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmpdag import (
     BackgroundKnowledgeConflict,
@@ -23,6 +25,7 @@ from .oracles import (
     all_dags,
     class_key,
     naive_extensions,
+    random_mpdag,
     sequential_meek_closure,
     union_graph,
 )
@@ -213,3 +216,22 @@ def test_parse_background_knowledge():
     with pytest.raises(GraphParseError, match="^expected 'NAME -> NAME'") as exc:
         parse_background_knowledge("# c\nA -- B")
     assert exc.value.line == 2
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_closure_idempotent_and_keeps_skeleton(seed):
+    # a random MPDAG with some further true orientations added, not closed
+    rng = np.random.default_rng(seed)
+    dag, _, g = random_mpdag(rng)
+    extra = [e for e in g.undirected_edges if rng.random() < 0.5]
+    directed = list(g.directed_edges) + [
+        (a, b) if dag.has_directed(a, b) else (b, a) for a, b in extra
+    ]
+    undirected = sorted(set(g.undirected_edges) - set(extra))
+    partial = Pdag(g.names, directed=directed, undirected=undirected)
+    closed = meek_closure(partial)
+    assert meek_closure(closed) == closed
+    assert closed.names == partial.names
+    assert np.array_equal(closed.adjacency_mask, partial.adjacency_mask)
+    assert set(closed.directed_edges) >= set(partial.directed_edges)
