@@ -21,12 +21,17 @@ context and builds each self block K_ii and each cross block K_ij (i < j)
 once, L + L(L-1)/2 blocks for L levels instead of three per level pair. The
 gradient with respect to each level's predictions comes from the same
 blocks; the validation pass and evaluation take the value-only path. Blocks
-are built in cache-sized row chunks with two reused buffers, and a self
-block only from the diagonal on: its upper triangle plus the square each
-row chunk has on the diagonal, from which symmetry gives the whole block's
-mean and row sums. Precision policy: only gradient blocks with more than
-65536 entries are evaluated in float32; every value-only block and every
-smaller gradient block is float64.
+are built in cache-sized row chunks in one reused buffer, and a self block
+only from the diagonal on: its upper triangle plus the square each row chunk
+has on the diagonal, from which symmetry gives the whole block's mean and
+row sums. Matrix products do the work: a chunk's differences come exactly
+from the rank-2 product [a, 1] @ [1; -b], and the gradient sums from two
+thin products of the kernel chunk against moments centred at the mean
+prediction, instead of an elementwise difference-times-kernel product and
+its reductions. Precision policy: only gradient blocks with more than 65536
+entries are evaluated in float32, on the centred predictions, unless
+float32 cannot hold their squared differences or the kernel scale; every
+value-only block and every other gradient block is float64.
 
 The median-heuristic bandwidth (``median_bandwidth``) is selected by
 sorted-difference selection: the differences s[j] - s[i] (i < j) of the
@@ -186,10 +191,16 @@ class FairPredictor:
 # roughly doubles throughput. Smaller gradient blocks and every value-only
 # block (validation, evaluation, ``mmd2``) stay in float64.
 _FLOAT32_BLOCK = 65536
-# Kernel blocks are built in row chunks of about this many entries, so the
-# chunk buffers stay in cache instead of each block allocating several
+# A gradient block also stays in float64 when float32 would not hold it: when
+# its centred predictions reach _FLOAT32_SPREAD (their squared differences
+# overflow) or 1/sigma reaches _FLOAT32_SCALE (the kernel scale overflows, or
+# the squared differences that matter are subnormal).
+_FLOAT32_SPREAD = 2.0**62
+_FLOAT32_SCALE = 2.0**100
+# Kernel blocks are built in row chunks of about this many entries, in one
+# buffer that stays in cache instead of each block allocating several
 # block-sized temporaries.
-_CHUNK_ENTRIES = 32768
+_CHUNK_ENTRIES = 65536
 
 
 def _kernel_block(pa, pb, sigma, want_grads, symmetric):
@@ -198,53 +209,78 @@ def _kernel_block(pa, pb, sigma, want_grads, symmetric):
     With ``want_grads`` also returns the row sums of (pa[k] - pb[l]) K[k, l]
     and, unless the block is a self block (``symmetric``, ``pb`` is ``pa``),
     the column sums, both in float64. The block is built in row chunks of
-    about ``_CHUNK_ENTRIES`` entries, in two buffers reused for every chunk:
-    the differences, which then hold the product, and the kernel.
+    about ``_CHUNK_ENTRIES`` entries in one buffer reused for every chunk.
+    A chunk's differences are the matrix product [a, 1] @ [1; -b]: each entry
+    is a * 1 + 1 * (-b), one rounding, as ``np.subtract.outer``. They are
+    squared, scaled and exponentiated in place, and the block sum adds
+    ``k.sum()`` of every chunk.
+
+    The gradient sums come from two thin products against moments centred at
+    c = mean(pa), which keeps the cancellation small: a row's sum is
+    (a[k] - c) (K 1)[k] - (K (b - c))[k], from K @ [1, b - c], and a
+    column's sum is (K^T (a - c))[l] - (b[l] - c) (K^T 1)[l], from
+    [1; a - c] @ K carried across chunks in float64. A float32 block takes
+    its differences from the centred predictions, so that they fit; one
+    whose centred predictions or kernel scale float32 cannot hold stays in
+    float64.
 
     A self block builds, for each chunk, only the columns from the chunk's
     first row on: its square on the diagonal and the strip to its right,
     about half the block. K is symmetric, so the block sum is twice the strip
-    sums less the diagonal squares; (pa[k] - pa[l]) K[k, l] is antisymmetric,
-    so a row's sum is its strip sum less the column sum of the strips above
-    it. The diagonal entries are built, so a NaN or infinite prediction still
-    makes the mean and its row NaN.
+    sums less the diagonal squares, and a row's moments are its strip's row
+    moments plus the column moments of the strips above it. The diagonal
+    entries are built, so a NaN or infinite prediction still makes the mean
+    and its row NaN.
     """
-    big = want_grads and len(pa) * len(pb) > _FLOAT32_BLOCK
-    dtype = np.float32 if big else np.float64
-    pa = pa.astype(dtype, copy=False)
-    pb = pb.astype(dtype, copy=False)
+    dtype, xa, xb = np.float64, pa, pb
+    if want_grads:
+        shift = float(pa.mean())
+        ca = pa - shift
+        cb = ca if symmetric else pb - shift
+        spread = max(np.abs(ca).max(), np.abs(cb).max())
+        fits = spread < _FLOAT32_SPREAD and 1.0 / sigma < _FLOAT32_SCALE
+        if fits and len(pa) * len(pb) > _FLOAT32_BLOCK:
+            dtype = np.float32
+            xa, xb = ca.astype(dtype), cb.astype(dtype)
+        right = np.ones((len(pb), 2), dtype)
+        right[:, 1] = cb
+        left = np.ones((2, len(pa)), dtype)
+        left[1] = ca
+        moments = np.zeros((2, len(pb)))
+        rows = np.empty(len(pa))
+    lead = np.ones((len(pa), 2), dtype)
+    lead[:, 0] = xa
+    trail = np.ones((2, len(pb)), dtype)
+    np.negative(xb, out=trail[1])
     scale = dtype(-1.0 / sigma)
     step = min(len(pa), max(1, _CHUNK_ENTRIES // len(pb)))
-    diff_buf = np.empty((step + 1) * len(pb), dtype)
-    kern_buf = np.empty(step * len(pb), dtype)
+    buf = np.empty(step * len(pb), dtype)
     total = 0.0
-    rows = np.empty(len(pa)) if want_grads else None
-    cols = np.zeros(len(pb), dtype) if want_grads else None
     for start in range(0, len(pa), step):
-        chunk = pa[start:start + step]
+        stop = min(start + step, len(pa))
         first = start if symmetric else 0
-        c, w = len(chunk), len(pb) - first
-        # Row 0 of ``diff`` carries the column sums of the chunks before, so
-        # that summing over axis 0 adds rows in the order one pass would.
-        diff = diff_buf[: (c + 1) * w].reshape(c + 1, w)
-        d, k = diff[1:], kern_buf[: c * w].reshape(c, w)
-        np.subtract.outer(chunk, pb[first:], out=d)
-        np.multiply(d, d, out=k)
+        c, w = stop - start, len(pb) - first
+        k = buf[: c * w].reshape(c, w)
+        np.matmul(lead[start:stop], trail[:, first:], out=k)
+        np.multiply(k, k, out=k)
         k *= scale
         np.exp(k, out=k)
         strip = float(k.sum())
         total += 2.0 * strip - float(k[:, :c].sum()) if symmetric else strip
         if want_grads:
-            d *= k
-            rows[start:start + c] = d.sum(axis=1)
+            m = k @ right[first:]
             if symmetric:
-                rows[start:start + c] -= cols[start:start + c]
-            diff[0] = cols[first:]
-            cols[first:] = diff.sum(axis=0)
+                m = m + moments[:, start:stop].T
+            rows[start:stop] = ca[start:stop] * m[:, 0] - m[:, 1]
+            # a self block's later rows need only the columns past the square
+            skip = c if symmetric else 0
+            moments[:, first + skip:] += left[:, start:stop] @ k[:, skip:]
     mean = total / (len(pa) * len(pb))
-    if symmetric or not want_grads:
+    if not want_grads:
+        return mean, None, None
+    if symmetric:
         return mean, rows, None
-    return mean, rows, cols.astype(np.float64)
+    return mean, rows, moments[1] - cb * moments[0]
 
 
 def _context_mmd2(preds, sigma, want_grads=False):

@@ -396,8 +396,9 @@ def _dump_predictions(path: Path, case: GraphCase, model) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("sensitive_value,prediction\n")
         for s in case.truth_sets:
-            a = float(s.sensitive_value)
-            fh.write("".join(f"{a!r},{v!r}\n" for v in model.predict(s.data).tolist()))
+            head = f"{float(s.sensitive_value)!r},"
+            values = map(repr, model.predict(s.data).tolist())
+            fh.write(head + ("\n" + head).join(values) + "\n")
 
 
 def _write_csv(path: Path, fields, rows) -> None:

@@ -220,6 +220,26 @@ def naive_mmd2(ya, yb, sigma: float) -> float:
     return float(saa + sbb - 2 * sab)
 
 
+def dense_mmd2_value_grads(ya, yb, sigma: float):
+    """MMD^2 of two samples and its gradients with respect to each, from
+    whole float64 kernel blocks and (y_k - y_l) K[k, l] products."""
+    ya = np.asarray(ya, dtype=float).ravel()
+    yb = np.asarray(yb, dtype=float).ravel()
+
+    def block(x, y):
+        d = x[:, None] - y[None, :]
+        k = np.exp(-d * d / sigma)
+        return k.mean(), d * k
+
+    kaa, paa = block(ya, ya)
+    kbb, pbb = block(yb, yb)
+    kab, pab = block(ya, yb)
+    na, nb = len(ya), len(yb)
+    ga = -4.0 / (sigma * na * na) * paa.sum(axis=1) + 4.0 / (sigma * na * nb) * pab.sum(axis=1)
+    gb = -4.0 / (sigma * nb * nb) * pbb.sum(axis=1) - 4.0 / (sigma * na * nb) * pab.sum(axis=0)
+    return float(kaa + kbb - 2.0 * kab), [ga, gb]
+
+
 def two_branch_sample(scm, kind: str, n: int, rng: np.random.Generator, clamp) -> dict:
     """Ancestral sample with one arithmetic branch per kind of model.
 

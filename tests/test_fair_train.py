@@ -22,6 +22,7 @@ from fairmpdag import (
     sample_observational,
     train_predictor,
 )
+from fairmpdag import fair_train
 from fairmpdag.fair_train import (
     _FLOAT32_BLOCK,
     _context_mmd2,
@@ -34,7 +35,7 @@ from fairmpdag.fair_train import (
 from fairmpdag.scm_lab import child_rng, split_tags
 
 from .conftest import train_from_json
-from .oracles import naive_mmd2, triu_median_bandwidth
+from .oracles import dense_mmd2_value_grads, naive_mmd2, triu_median_bandwidth
 from .test_scm_lab import two_vertex_scm
 
 
@@ -97,18 +98,85 @@ class TestContextMmd2:
         assert grads is None
         assert value == _context_mmd2(preds, 0.7, want_grads=True)[0]
 
-    def test_chunked_float32_gradient_block_matches_one_pass(self):
-        # 300 x 400 entries: float32 and several row chunks; the row and
-        # column sums must equal those of the whole block built at once
+    @pytest.mark.parametrize("offset", [0.0, 50.0])
+    @pytest.mark.parametrize("chunk", [5000, 1 << 20])
+    def test_float32_gradient_sums_within_rounding_bound(self, offset, chunk, monkeypatch):
+        # 300 x 400 entries: a float32 cross block, in several row chunks or in
+        # one; its row and column sums against the float64 sums of
+        # (p_k - p_l) K[k, l], within n float32 roundings of terms of
+        # magnitude (|p_k - c| + |p_l - c|) K[k, l], c the mean of pa
+        monkeypatch.setattr(fair_train, "_CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(241)
-        pa = rng.normal(size=300).astype(np.float32)
-        pb = (rng.normal(size=400) + 0.2).astype(np.float32)
+        pa = rng.normal(size=300) + offset
+        pb = rng.normal(size=400) + offset + 0.2
         sigma = 1.3
         diff = pa[:, None] - pb[None, :]
-        prod = diff * np.exp(-(diff * diff) * np.float32(1.0 / sigma))
+        kern = np.exp(-(diff * diff) / sigma)
+        prod = diff * kern
+        c = pa.mean()
+        terms = (np.abs(pa - c)[:, None] + np.abs(pb - c)[None, :]) * kern
+        eps = np.finfo(np.float32).eps
         _, rows, cols = _kernel_block(pa, pb, sigma, want_grads=True, symmetric=False)
-        assert np.array_equal(rows, prod.sum(axis=1).astype(np.float64))
-        assert np.array_equal(cols, prod.sum(axis=0).astype(np.float64))
+        row_err = np.abs(rows - prod.sum(axis=1))
+        assert np.all(row_err <= len(pb) * eps * terms.sum(axis=1))
+        assert np.all(np.abs(cols - prod.sum(axis=0)) <= len(pa) * eps * terms.sum(axis=0))
+        assert row_err.max() > 1e-9  # the block was float32, not float64
+
+    @pytest.mark.parametrize("unit", [1e39, 1e-25])
+    def test_gradient_block_out_of_float32_range_falls_back_to_float64(self, unit):
+        # the 300 x 300 blocks would be float32 by size, but 1e39 predictions
+        # overflow it, and at 1e-25 the kernel scale 1/sigma does
+        rng = np.random.default_rng(263)
+        preds = [rng.normal(size=300) * unit, (rng.normal(size=300) + 0.5) * unit]
+        sigma = unit * unit
+        want, want_grads = dense_mmd2_value_grads(*preds, sigma)
+        assert _context_mmd2(preds, sigma)[0] == pytest.approx(want, rel=1e-12)
+        value, grads = _context_mmd2(preds, sigma, want_grads=True)
+        assert value == pytest.approx(want, rel=1e-12)
+        for g, w in zip(grads, want_grads):
+            assert np.all(np.isfinite(g))
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rank_two_differences_equal_subtract_outer(self, dtype):
+        # _kernel_block forms a chunk's differences as [a, 1] @ [1; -b]: each
+        # entry is a * 1 + 1 * (-b), rounded once, so it equals
+        # np.subtract.outer bit for bit; only a zero may lose its sign, and
+        # the kernel squares it. Magnitudes 1e-30 to 1e30, subnormals, signed
+        # zeros, equal pairs, infinities and NaN, in 300 shapes.
+        rng = np.random.default_rng(269)
+        info = np.finfo(dtype)
+        tiny = info.smallest_subnormal
+        specials = np.array([0.0, -0.0, tiny, -tiny, 7 * tiny, info.smallest_normal / 3,
+                             np.inf, -np.inf, np.nan], dtype)
+        uint = np.uint32 if dtype is np.float32 else np.uint64
+
+        def draw(size):
+            x = (rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-30, 30, size)).astype(dtype)
+            pick = rng.random(size) < 0.15
+            x[pick] = rng.choice(specials, pick.sum())
+            return x
+
+        for _ in range(300):
+            m, n = int(rng.integers(1, 50)), int(rng.integers(1, 900))
+            a, b = draw(m), draw(n)
+            same = rng.random(min(m, n)) < 0.3  # equal pairs on the diagonal
+            b[: min(m, n)][same] = a[: min(m, n)][same]
+            first = int(rng.integers(0, n))  # a self block's strip starts off column 0
+            lead = np.ones((m, 2), dtype)
+            lead[:, 0] = a
+            trail = np.ones((2, n), dtype)
+            trail[1] = -b
+            got = np.empty((m, n - first), dtype)
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.matmul(lead, trail[:, first:], out=got)
+                want = np.subtract.outer(a, b[first:])
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            zero = want == 0
+            assert np.all(got[zero] == 0)
+            kept = ~nan & ~zero
+            assert np.array_equal(got[kept].view(uint), want[kept].view(uint))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("sizes", [(6, 9), (1, 9), (5, 7, 1)])

@@ -347,3 +347,19 @@ def test_dump_predictions_matches_csv_writer_bytes(tmp_path):
             for value in model.predict(s.data):
                 writer.writerow([repr(float(s.sensitive_value)), repr(float(value))])
     assert got.read_bytes() == expected.read_bytes()
+
+
+def test_dump_predictions_matches_row_formatter_bytes(tmp_path):
+    # a built case and a trained model: the joined rows equal one formatted
+    # line per prediction
+    cfg = small_config(train=TrainConfig(epochs=5, patience=5))
+    case = build_case(cfg, 0, 0)
+    _, model = run_case(cfg, case, Variant.FULL, 0.0, 0)
+    got = tmp_path / "got.csv"
+    _dump_predictions(got, case, model)
+    expected = "sensitive_value,prediction\n" + "".join(
+        f"{float(s.sensitive_value)!r},{v!r}\n"
+        for s in case.truth_sets
+        for v in model.predict(s.data).tolist()
+    )
+    assert got.read_bytes() == expected.encode()

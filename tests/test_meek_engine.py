@@ -235,3 +235,39 @@ def test_closure_idempotent_and_keeps_skeleton(seed):
     assert closed.names == partial.names
     assert np.array_equal(closed.adjacency_mask, partial.adjacency_mask)
     assert set(closed.directed_edges) >= set(partial.directed_edges)
+
+
+def true_statements(dag, edges, rng, share=0.5):
+    """The true orientation of each of ``edges`` kept with probability ``share``."""
+    return [(a, b) if dag.has_directed(a, b) else (b, a) for a, b in edges if rng.random() < share]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mpdag_does_not_depend_on_statement_order(seed):
+    # the same true statements, shuffled, repeated, or split into two
+    # batches applied one after the other, give the same MPDAG
+    rng = np.random.default_rng(seed)
+    dag, cpdag, _ = random_mpdag(rng)
+    bk = true_statements(dag, cpdag.undirected_edges, rng)
+    want = construct_mpdag(cpdag, bk)
+    shuffled = [bk[i] for i in rng.permutation(len(bk))]
+    assert construct_mpdag(cpdag, shuffled) == want
+    assert construct_mpdag(cpdag, shuffled + bk[: len(bk) // 2]) == want
+    cut = int(rng.integers(len(bk) + 1))
+    assert construct_mpdag(construct_mpdag(cpdag, shuffled[:cut]), shuffled[cut:]) == want
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_augment_commutes_with_orientation_on_random_mpdags(seed):
+    # further true statements on a random MPDAG: orienting then augmenting
+    # equals augmenting then orienting, and equals the MPDAG of the augmented
+    # DAG's CPDAG under every orientation the MPDAG holds plus v -> Yhat
+    rng = np.random.default_rng(seed)
+    dag, _, g = random_mpdag(rng)
+    bk = true_statements(dag, g.undirected_edges, rng)
+    left = augment_with_prediction(construct_mpdag(g, bk))
+    assert construct_mpdag(augment_with_prediction(g), bk) == left
+    stated = list(g.directed_edges) + bk + [(v, "Yhat") for v in dag.names]
+    assert construct_mpdag(cpdag_from_dag(augment_with_prediction(dag)), stated) == left
