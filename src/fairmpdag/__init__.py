@@ -16,7 +16,6 @@ from .causal_ident import (
     CausalOrdering,
     IdentificationFormula,
     NotIdentifiableError,
-    enumerate_dags_in_class,
     enumerate_valid_orientations,
     identification_formula,
     is_identifiable,
@@ -48,7 +47,6 @@ from .graph_core import (
     GraphParseError,
     Pdag,
     bucket_decomposition,
-    exists_proper_possibly_causal_path_starting_undirected,
     parents,
     parse_graph,
     unshielded_colliders,
@@ -56,9 +54,6 @@ from .graph_core import (
 from .harness import ExperimentConfig, GraphSetting, build_case, run_experiment
 from .meek_engine import (
     BackgroundKnowledgeConflict,
-    CPDAG_RULES,
-    MPDAG_RULES,
-    MeekRule,
     augment_with_prediction,
     construct_mpdag,
     cpdag_from_dag,

@@ -82,10 +82,6 @@ def _induces_incomplete(g: Pdag, nodes: tuple[str, ...]) -> bool:
 
 
 def definite_nondescendants(g: Pdag, s: str) -> tuple[str, ...]:
-    """All vertices that are non-descendants of ``s`` in every member DAG."""
-    return tuple(
-        t
-        for t in g.names
-        if t != s
-        and ancestral_relation(g, s, t) is AncestralRelation.DEFINITE_NON_DESCENDANT
-    )
+    """All vertices that are non-descendants of ``s`` in every member DAG:
+    those with an empty critical set."""
+    return tuple(t for t in g.names if t != s and not critical_set(g, s, t))

@@ -20,14 +20,8 @@ from .graph_core import (
     _successor_lists,
     bucket_decomposition,
     parents,
-    unshielded_colliders,
 )
-from .meek_engine import (
-    BackgroundKnowledgeConflict,
-    MPDAG_RULES,
-    _closure_arrays,
-    construct_mpdag,
-)
+from .meek_engine import BackgroundKnowledgeConflict, construct_mpdag
 
 
 class NotIdentifiableError(GraphError):
@@ -39,12 +33,6 @@ class CausalOrdering:
     """Ordered bucket list; edges between buckets point from earlier to later."""
 
     buckets: tuple[frozenset[str], ...]
-
-    def __iter__(self):
-        return iter(self.buckets)
-
-    def __len__(self) -> int:
-        return len(self.buckets)
 
 
 @dataclass(frozen=True)
@@ -190,42 +178,4 @@ def enumerate_valid_orientations(g: Pdag, intervened: Iterable[str]) -> list[Pda
             seen.add(candidate)
             out.append(candidate)
     assert out, "a valid MPDAG admits at least one consistent completion"
-    return out
-
-
-def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
-    """All DAGs represented by ``g``: acyclic orientations of its undirected
-    edges that neither destroy nor create an unshielded collider.
-
-    Recursion orients one undirected edge at a time and closes under the
-    orientation rules, which prunes hard; each leaf is verified against the
-    collider criterion directly.
-    """
-    if g.n > 12:
-        raise GraphError("class enumeration guarded to graphs with <= 12 vertices")
-    target = unshielded_colliders(g)
-    out: list[Pdag] = []
-
-    def descend(dmat: np.ndarray, umat: np.ndarray) -> None:
-        pairs = np.argwhere(np.triu(umat))
-        if len(pairs) == 0:
-            try:
-                d = Pdag.from_arrays(g.names, dmat, umat)
-            except GraphError:
-                return
-            if unshielded_colliders(d) == target:
-                out.append(d)
-            return
-        i, j = pairs[0]
-        for tail, head in ((i, j), (j, i)):
-            d2, u2 = dmat.copy(), umat.copy()
-            u2[i, j] = u2[j, i] = False
-            d2[tail, head] = True
-            try:
-                d2, u2 = _closure_arrays(d2, u2, MPDAG_RULES)
-            except GraphError:
-                continue
-            descend(d2, u2)
-
-    descend(g.directed_mask.copy(), g.undirected_mask.copy())
     return out

@@ -31,7 +31,9 @@ prediction, instead of an elementwise difference-times-kernel product and
 its reductions. Precision policy: only gradient blocks with more than 65536
 entries are evaluated in float32, on the centred predictions, unless
 float32 cannot hold their squared differences or the kernel scale; every
-value-only block and every other gradient block is float64.
+value-only block and every other gradient block is float64. The kernel
+raises a bandwidth below 2^-1000 to 2^-1000, so its scale and gradient
+coefficients stay finite at every positive bandwidth.
 
 The median-heuristic bandwidth (``median_bandwidth``) is selected by
 sorted-difference selection: the differences s[j] - s[i] (i < j) of the
@@ -201,6 +203,13 @@ _FLOAT32_SCALE = 2.0**100
 # buffer that stays in cache instead of each block allocating several
 # block-sized temporaries.
 _CHUNK_ENTRIES = 65536
+# The kernel raises a smaller bandwidth to this floor. Below it, -1/sigma and
+# the gradient coefficients 4/(P sigma n_i n_j) overflow or come near it (at a
+# subnormal sigma -1/sigma is -inf, at the smallest normal one 4/sigma is
+# 2^1024); at it they are at most 2^1002. Kernel entries of predictions more
+# than 8.3e-150 apart underflow to 0 at the floor as below it, so the floor
+# changes only entries of predictions closer than that.
+_MIN_BANDWIDTH = 2.0**-1000
 
 
 def _kernel_block(pa, pb, sigma, want_grads, symmetric):
@@ -291,8 +300,12 @@ def _context_mmd2(preds, sigma, want_grads=False):
     L levels and P = L(L-1)/2 pairs the value is
     [(L-1) sum_i mean K_ii - 2 sum_{i<j} mean K_ij] / P, and the gradients
     follow from the same blocks. Returns ``(value, grads)``; ``grads`` is None
-    unless ``want_grads``.
+    unless ``want_grads``. A bandwidth below ``_MIN_BANDWIDTH`` (2^-1000) is
+    raised to it, so finite predictions give a finite value and finite
+    gradients at any positive bandwidth; blocks at larger bandwidths are
+    unchanged.
     """
+    sigma = max(sigma, _MIN_BANDWIDTH)
     levels = len(preds)
     pairs = levels * (levels - 1) // 2
     sizes = [len(p) for p in preds]
@@ -314,7 +327,8 @@ def _context_mmd2(preds, sigma, want_grads=False):
 
 
 def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: float) -> float:
-    """Biased squared maximum mean discrepancy with kernel exp(-d^2/bandwidth)."""
+    """Biased squared maximum mean discrepancy with kernel exp(-d^2/bandwidth),
+    the bandwidth raised to at least 2^-1000 (``_context_mmd2``)."""
     pa = np.asarray(ya, dtype=float).ravel()
     pb = np.asarray(yb, dtype=float).ravel()
     if len(pa) == 0 or len(pb) == 0:

@@ -329,45 +329,6 @@ def unshielded_colliders(g: Pdag) -> set[tuple[str, str, str]]:
     return out
 
 
-def exists_proper_possibly_causal_path_starting_undirected(
-    g: Pdag, src: Iterable[str], dst: Iterable[str]
-) -> bool:
-    """Whether a proper possibly-causal path from src to dst starts undirected.
-
-    This is Perkovic's identifiability criterion for MPDAGs (UAI 2020): the
-    effect of src on dst is identifiable iff no such path exists.
-    :func:`fairmpdag.causal_ident.is_identifiable` is this criterion on the
-    prediction-augmented MPDAG, with dst the prediction vertex, which every
-    vertex points into.
-
-    Proper: only the first vertex lies in src. The search walks forward along
-    directed or undirected steps from each undirected neighbor of src while
-    avoiding src; loop erasure turns any such walk into a qualifying path, so
-    plain reachability is exact.
-    """
-    src_idx = {g.index(s) for s in src}
-    dst_idx = {g.index(t) for t in dst}
-    if src_idx & dst_idx:
-        raise GraphError("src and dst must be disjoint")
-    step = g.directed_mask | g.undirected_mask
-    starts: set[int] = set()
-    for s in src_idx:
-        starts.update(j for j in np.flatnonzero(g.undirected_mask[s]) if j not in src_idx)
-    visited: set[int] = set()
-    frontier = deque(starts)
-    while frontier:
-        i = frontier.popleft()
-        if i in visited:
-            continue
-        visited.add(i)
-        if i in dst_idx:
-            return True
-        for j in np.flatnonzero(step[i]):
-            if j not in visited and j not in src_idx:
-                frontier.append(j)
-    return False
-
-
 def bucket_decomposition(g: Pdag, nodes: Iterable[str]) -> tuple[frozenset[str], ...]:
     """Partition ``nodes`` into maximal undirected-connected components.
 

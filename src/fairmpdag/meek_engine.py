@@ -1,14 +1,14 @@
 """Orientation-rule closure and graph construction.
 
-Implements Meek's rules R1-R4, CPDAG construction from a DAG (pattern plus
-R1-R3 closure), MPDAG construction from a CPDAG and direct-causal background
-knowledge (orient each statement, then close under R1-R4, failing on
+Implements one closure under Meek's rules R1-R4, CPDAG construction from a
+DAG (its pattern, closed), MPDAG construction from a CPDAG and direct-causal
+background knowledge (orient each statement, then close, failing on
 contradiction), and the prediction-vertex augmentation used to reason about
-a learned predictor as a graph vertex.
+a learned predictor as a graph vertex. R4 never fires on a pattern closed
+under R1-R3 (Meek, UAI 1995), so the CPDAG is the same closure's fixpoint.
 """
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable
 
 import numpy as np
@@ -22,16 +22,6 @@ from .graph_core import (
     unshielded_colliders,
 )
 
-
-class MeekRule(enum.Enum):
-    R1 = "R1"
-    R2 = "R2"
-    R3 = "R3"
-    R4 = "R4"
-
-
-CPDAG_RULES = frozenset({MeekRule.R1, MeekRule.R2, MeekRule.R3})
-MPDAG_RULES = frozenset({MeekRule.R1, MeekRule.R2, MeekRule.R3, MeekRule.R4})
 
 BackgroundKnowledge = Iterable[tuple[str, str]]
 
@@ -90,23 +80,12 @@ def _fires_r4(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray
     return fire
 
 
-_RULE_MATCHERS = {
-    MeekRule.R1: _fires_r1,
-    MeekRule.R2: _fires_r2,
-    MeekRule.R3: _fires_r3,
-    MeekRule.R4: _fires_r4,
-}
-
-
-def _closure_arrays(
-    dmat: np.ndarray, umat: np.ndarray, rules: frozenset[MeekRule]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the enabled rules to fixpoint on mutable mark matrices."""
+def _closure_arrays(dmat: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply R1-R4 to fixpoint on mutable mark matrices."""
     adj = dmat | dmat.T | umat
-    matchers = [_RULE_MATCHERS[r] for r in sorted(rules, key=lambda r: r.value)]
     while True:
         fire = np.zeros_like(umat)
-        for matcher in matchers:
+        for matcher in (_fires_r1, _fires_r2, _fires_r3, _fires_r4):
             fire |= matcher(dmat, umat, adj)
         if not fire.any():
             return dmat, umat
@@ -116,16 +95,14 @@ def _closure_arrays(
         umat &= ~(fire | fire.T)
 
 
-def meek_closure(g: Pdag, rules: Iterable[MeekRule] = MPDAG_RULES) -> Pdag:
-    """Close ``g`` under the enabled orientation rules.
+def meek_closure(g: Pdag) -> Pdag:
+    """Close ``g`` under Meek's rules R1-R4.
 
     The fixpoint is independent of scan order; rules only add directed marks,
     so the skeleton is preserved. Acyclicity of the result is checked and a
     violation fails hard (it can only arise from inconsistent input).
     """
-    dmat, umat = _closure_arrays(
-        g.directed_mask.copy(), g.undirected_mask.copy(), frozenset(rules)
-    )
+    dmat, umat = _closure_arrays(g.directed_mask.copy(), g.undirected_mask.copy())
     try:
         return Pdag.from_arrays(g.names, dmat, umat)
     except DirectedCycleError as exc:
@@ -148,7 +125,7 @@ def pattern_of_dag(d: Pdag) -> Pdag:
 
 def cpdag_from_dag(d: Pdag) -> Pdag:
     """Unique CPDAG of the Markov equivalence class containing ``d``."""
-    return meek_closure(pattern_of_dag(d), CPDAG_RULES)
+    return meek_closure(pattern_of_dag(d))
 
 
 def construct_mpdag(g: Pdag, bk: BackgroundKnowledge) -> Pdag:
@@ -173,7 +150,7 @@ def construct_mpdag(g: Pdag, bk: BackgroundKnowledge) -> Pdag:
             umat[i, j] = umat[j, i] = False
             dmat[i, j] = True
             try:
-                dmat, umat = _closure_arrays(dmat, umat, MPDAG_RULES)
+                dmat, umat = _closure_arrays(dmat, umat)
             except OrientationConflictError as exc:
                 raise BackgroundKnowledgeConflict(tail, head, str(exc)) from exc
         elif dmat[i, j]:

@@ -6,6 +6,7 @@ closed-form linear algebra) and independent of the code paths it validates.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 from scipy.special import expit
@@ -20,7 +21,7 @@ from fairmpdag import (
     random_er_dag,
     unshielded_colliders,
 )
-from fairmpdag.meek_engine import _RULE_MATCHERS, MeekRule
+from fairmpdag.meek_engine import _closure_arrays
 
 
 def all_dags(n: int):
@@ -191,12 +192,89 @@ def exists_start_undirected_path(g: Pdag, src, dst) -> bool:
     return False
 
 
-def sequential_meek_closure(g: Pdag, rules, rng: np.random.Generator) -> Pdag:
-    """Apply one randomly chosen rule firing at a time until fixpoint."""
+def exists_proper_possibly_causal_path_starting_undirected(
+    g: Pdag, src, dst
+) -> bool:
+    """Whether a proper possibly-causal path from src to dst starts undirected.
+
+    This is Perkovic's identifiability criterion for MPDAGs (UAI 2020): the
+    effect of src on dst is identifiable iff no such path exists.
+    ``fairmpdag.is_identifiable`` is this criterion on the
+    prediction-augmented MPDAG, with dst the prediction vertex, which every
+    vertex points into.
+
+    Proper: only the first vertex lies in src. The search walks forward along
+    directed or undirected steps from each undirected neighbor of src while
+    avoiding src; loop erasure turns any such walk into a qualifying path, so
+    plain reachability is exact.
+    """
+    src_idx = {g.index(s) for s in src}
+    dst_idx = {g.index(t) for t in dst}
+    if src_idx & dst_idx:
+        raise GraphError("src and dst must be disjoint")
+    step = g.directed_mask | g.undirected_mask
+    starts: set[int] = set()
+    for s in src_idx:
+        starts.update(j for j in np.flatnonzero(g.undirected_mask[s]) if j not in src_idx)
+    visited: set[int] = set()
+    frontier = deque(starts)
+    while frontier:
+        i = frontier.popleft()
+        if i in visited:
+            continue
+        visited.add(i)
+        if i in dst_idx:
+            return True
+        for j in np.flatnonzero(step[i]):
+            if j not in visited and j not in src_idx:
+                frontier.append(j)
+    return False
+
+
+def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
+    """All DAGs represented by ``g``: acyclic orientations of its undirected
+    edges that neither destroy nor create an unshielded collider.
+
+    Recursion orients one undirected edge at a time and closes under the
+    orientation rules, which prunes hard; each leaf is verified against the
+    collider criterion directly.
+    """
+    if g.n > 12:
+        raise GraphError("class enumeration guarded to graphs with <= 12 vertices")
+    target = unshielded_colliders(g)
+    out: list[Pdag] = []
+
+    def descend(dmat: np.ndarray, umat: np.ndarray) -> None:
+        pairs = np.argwhere(np.triu(umat))
+        if len(pairs) == 0:
+            try:
+                d = Pdag.from_arrays(g.names, dmat, umat)
+            except GraphError:
+                return
+            if unshielded_colliders(d) == target:
+                out.append(d)
+            return
+        i, j = pairs[0]
+        for tail, head in ((i, j), (j, i)):
+            d2, u2 = dmat.copy(), umat.copy()
+            u2[i, j] = u2[j, i] = False
+            d2[tail, head] = True
+            try:
+                d2, u2 = _closure_arrays(d2, u2)
+            except GraphError:
+                continue
+            descend(d2, u2)
+
+    descend(g.directed_mask.copy(), g.undirected_mask.copy())
+    return out
+
+
+def sequential_meek_closure(g: Pdag, matchers, rng: np.random.Generator) -> Pdag:
+    """Apply one randomly chosen firing of the rule ``matchers`` (such as
+    ``meek_engine._fires_r1``) at a time until none fires."""
     dmat = g.directed_mask.copy()
     umat = g.undirected_mask.copy()
     adj = dmat | dmat.T | umat
-    matchers = [_RULE_MATCHERS[r] for r in rules]
     while True:
         fires = []
         for rule_idx in rng.permutation(len(matchers)):

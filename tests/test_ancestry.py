@@ -9,12 +9,16 @@ from fairmpdag import (
     cpdag_from_dag,
     construct_mpdag,
     definite_nondescendants,
-    enumerate_dags_in_class,
     parse_graph,
 )
 
 from .conftest import BK_DEMO_KNOWLEDGE
-from .oracles import chordless_possibly_causal_first_steps, descendants, random_mpdag
+from .oracles import (
+    chordless_possibly_causal_first_steps,
+    descendants,
+    enumerate_dags_in_class,
+    random_mpdag,
+)
 
 
 @pytest.fixture
@@ -102,3 +106,16 @@ class TestDefiniteNondescendants:
     def test_disconnected_vertex_included(self):
         g = parse_graph("A -> X\nnode W")
         assert definite_nondescendants(g, "A") == ("W",)
+
+    def test_matches_ancestral_relation(self):
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            _, _, g = random_mpdag(rng)
+            s = g.names[int(rng.integers(g.n))]
+            expected = tuple(
+                t
+                for t in g.names
+                if t != s
+                and ancestral_relation(g, s, t) is AncestralRelation.DEFINITE_NON_DESCENDANT
+            )
+            assert definite_nondescendants(g, s) == expected

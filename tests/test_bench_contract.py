@@ -3,10 +3,17 @@
 Each hook replaces ``owner.attr`` through ``vars(owner)[attr]``, so a
 refactor that drops or moves one of those names raises ``KeyError`` when the
 hooks are installed. The untraced probe is installed on every run, so such a
-refactor breaks every benchmark run, not only traced ones.
+refactor breaks every benchmark run, not only traced ones. Some hooks also
+read call arguments by parameter name, so renaming a parameter breaks them
+the same way.
 """
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
+
+from fairmpdag import causal_ident, density_gen, fair_train, harness, meek_engine, scm_lab
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -32,3 +39,23 @@ def test_epoch_accounting_self_test_passes():
     # median_bandwidth calls: one per context in the training and in the
     # validation pass of each penalised epoch
     assert epoch_accounting() == []
+
+
+BOUND_BY_NAME = [
+    (harness, "construct_mpdag", {"g", "bk"}),
+    (causal_ident, "construct_mpdag", {"g", "bk"}),
+    (meek_engine, "construct_mpdag", {"g", "bk"}),
+    (fair_train, "train_predictor", {"config", "interventional", "lam"}),
+    (density_gen, "generate_interventional", {"n"}),
+    (scm_lab, "sample_observational", {"n"}),
+    (scm_lab, "sample_interventional_truth", {"n"}),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, attr, names",
+    BOUND_BY_NAME,
+    ids=[f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}" for owner, attr, _ in BOUND_BY_NAME],
+)
+def test_parameters_the_bench_binds_by_name(owner, attr, names):
+    assert names <= set(inspect.signature(vars(owner)[attr]).parameters)

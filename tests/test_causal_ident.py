@@ -9,9 +9,7 @@ from fairmpdag import (
     Pdag,
     augment_with_prediction,
     bucket_decomposition,
-    enumerate_dags_in_class,
     enumerate_valid_orientations,
-    exists_proper_possibly_causal_path_starting_undirected,
     identification_formula,
     is_identifiable,
     meek_closure,
@@ -21,6 +19,8 @@ from fairmpdag import (
 )
 
 from .oracles import (
+    enumerate_dags_in_class,
+    exists_proper_possibly_causal_path_starting_undirected,
     naive_extensions,
     pair_weights,
     population_cov,

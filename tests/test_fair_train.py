@@ -137,6 +137,33 @@ class TestContextMmd2:
             assert np.all(np.isfinite(g))
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
 
+    @pytest.mark.parametrize(
+        "preds, sigma",
+        [
+            ([[0.0], [1.0]], 1e-320),  # subnormal: -1/sigma is -inf
+            ([np.arange(3) * 1e-161, np.arange(3, 6) * 1e-161], "median"),  # 4e-322
+            ([[0.0], [1e-160]], np.finfo(float).tiny),  # 4/sigma is 2^1024
+        ],
+    )
+    def test_tiny_bandwidth_gives_finite_value_and_gradients(self, preds, sigma):
+        # the kernel raises the bandwidth to 2^-1000, so these give what the
+        # whole-block oracle gives there
+        preds = [np.asarray(p, dtype=float) for p in preds]
+        if sigma == "median":
+            sigma = median_bandwidth(np.concatenate(preds))
+            assert sigma == 4e-322
+        floor = 2.0**-1000
+        want, want_grads = dense_mmd2_value_grads(*preds, floor)
+        assert mmd2(*preds, sigma) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        value, grads = _context_mmd2(preds, sigma, want_grads=True)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
+        for g, w in zip(grads, want_grads):
+            assert np.all(np.isfinite(g))
+            np.testing.assert_allclose(g, w, rtol=1e-12)
+        at_floor = _context_mmd2(preds, floor, want_grads=True)
+        assert value == at_floor[0]
+        assert all(np.array_equal(g, w) for g, w in zip(grads, at_floor[1]))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rank_two_differences_equal_subtract_outer(self, dtype):
         # _kernel_block forms a chunk's differences as [a, 1] @ [1; -b]: each

@@ -10,14 +10,17 @@ from fairmpdag import (
     Pdag,
     bucket_decomposition,
     cpdag_from_dag,
-    exists_proper_possibly_causal_path_starting_undirected,
     parents,
     parse_graph,
     random_er_dag,
     unshielded_colliders,
 )
 
-from .oracles import exists_start_undirected_path, random_mpdag
+from .oracles import (
+    exists_proper_possibly_causal_path_starting_undirected,
+    exists_start_undirected_path,
+    random_mpdag,
+)
 
 
 @st.composite

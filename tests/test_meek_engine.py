@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from fairmpdag import (
     BackgroundKnowledgeConflict,
-    CPDAG_RULES,
     GraphError,
-    MPDAG_RULES,
-    MeekRule,
     Pdag,
     augment_with_prediction,
     construct_mpdag,
@@ -19,6 +16,7 @@ from fairmpdag import (
     pattern_of_dag,
     random_er_dag,
 )
+from fairmpdag.meek_engine import _fires_r1, _fires_r2, _fires_r3, _fires_r4
 
 from .conftest import BK_DEMO_KNOWLEDGE
 from .oracles import (
@@ -31,39 +29,54 @@ from .oracles import (
 )
 
 
+def fired(matcher, g: Pdag) -> set[tuple[str, str]]:
+    """The orientations ``tail -> head`` that one rule matcher fires on ``g``."""
+    fire = matcher(g.directed_mask, g.undirected_mask, g.adjacency_mask)
+    return {(g.names[i], g.names[j]) for i, j in np.argwhere(fire)}
+
+
+R1_TO_R3 = [_fires_r1, _fires_r2, _fires_r3]
+
+
 class TestMeekClosure:
     def test_r1_orients_away_from_arrowhead(self):
-        g = meek_closure(parse_graph("X -> Y\nY -- Z"), {MeekRule.R1})
-        assert g == parse_graph("X -> Y\nY -> Z")
+        g = parse_graph("X -> Y\nY -- Z")
+        assert fired(_fires_r1, g) == {("Y", "Z")}
+        assert meek_closure(g) == parse_graph("X -> Y\nY -> Z")
 
     def test_r2_prevents_cycle(self):
-        g = meek_closure(parse_graph("X -> Y\nY -> Z\nX -- Z"), {MeekRule.R2})
-        assert g == parse_graph("X -> Y\nY -> Z\nX -> Z")
+        g = parse_graph("X -> Y\nY -> Z\nX -- Z")
+        assert fired(_fires_r2, g) == {("X", "Z")}
+        assert meek_closure(g) == parse_graph("X -> Y\nY -> Z\nX -> Z")
 
     def test_r3_two_nonadjacent_chains(self):
         g = parse_graph("A -- B\nA -- C\nA -- D\nC -> B\nD -> B")
-        closed = meek_closure(g, {MeekRule.R3})
+        assert fired(_fires_r3, g) == {("A", "B")}
+        closed = meek_closure(g)
         assert closed.has_directed("A", "B")
         assert closed.has_undirected("A", "C") and closed.has_undirected("A", "D")
 
     def test_r4_chain_with_adjacent_anchor(self):
         g = parse_graph("A -- B\nA -- C\nC -> D\nD -> B\nA -- D")
-        closed = meek_closure(g, {MeekRule.R4})
+        assert fired(_fires_r4, g) == {("A", "B")}
+        closed = meek_closure(g)
         assert closed.has_directed("A", "B")
 
     def test_r4_requires_anchor_adjacency(self):
+        # not a closed pattern (R1 would orient B -> A and then a cycle), so
+        # only the R4 matcher is asked
         g = parse_graph("A -- B\nA -- C\nC -> D\nD -> B")
-        assert not meek_closure(g, {MeekRule.R4}).has_directed("A", "B")
+        assert fired(_fires_r4, g) == set()
 
     def test_fixpoint_without_match(self, star_triangle):
-        assert meek_closure(star_triangle, MPDAG_RULES) == star_triangle
+        assert meek_closure(star_triangle) == star_triangle
 
     def test_skeleton_preserved_and_directed_grow(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             dag = random_er_dag(6, 8, int(rng.integers(2**32)))
             g = pattern_of_dag(dag)
-            closed = meek_closure(g, MPDAG_RULES)
+            closed = meek_closure(g)
             assert set(closed.directed_edges) >= set(g.directed_edges)
             assert {tuple(sorted(e)) for e in closed.directed_edges} | set(
                 closed.undirected_edges
@@ -74,9 +87,27 @@ class TestMeekClosure:
         for _ in range(6):
             dag = random_er_dag(7, 10, int(rng.integers(2**32)))
             g = pattern_of_dag(dag)
-            batch = meek_closure(g, CPDAG_RULES)
+            batch = meek_closure(g)
             for _ in range(20):
-                assert sequential_meek_closure(g, sorted(CPDAG_RULES, key=lambda r: r.value), rng) == batch
+                assert sequential_meek_closure(g, R1_TO_R3, rng) == batch
+
+
+@st.composite
+def er_dags(draw, max_d=12):
+    d = draw(st.integers(2, max_d))
+    s = draw(st.integers(0, d * (d - 1) // 2))
+    return random_er_dag(d, s, draw(st.integers(0, 2**32 - 1)))
+
+
+@given(er_dags(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_r4_never_fires_on_a_cpdag(dag, seed):
+    # Meek (1995): R4 is not needed to close a pattern, so the one closure
+    # that also runs R4 gives the R1-R3 CPDAG
+    cpdag = cpdag_from_dag(dag)
+    assert fired(_fires_r4, cpdag) == set()
+    rng = np.random.default_rng(seed)
+    assert sequential_meek_closure(pattern_of_dag(dag), R1_TO_R3, rng) == cpdag
 
 
 class TestPatternAndCpdag:
