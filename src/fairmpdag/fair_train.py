@@ -53,11 +53,10 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 
 import numpy as np
-from scipy.special import expit
 
 from .ancestry import definite_nondescendants
 from .graph_core import Pdag
-from .scm_lab import Dataset, child_rng
+from .scm_lab import Dataset, child_rng, sigmoid
 
 
 class Variant(enum.Enum):
@@ -91,16 +90,16 @@ class TrainConfig:
         ok = isinstance(seeds, tuple) and seeds and all(type(x) is int and x >= 0 for x in seeds)
         ok = ok and len(set(seeds)) == len(seeds)
         _check("seeds", seeds, ok, "a nonempty list of distinct nonnegative integers")
-        mode = self.bandwidth_mode
-        ok = mode == "median" or (_is_finite(mode) and mode > 0)
-        _check("bandwidth_mode", mode, ok, "'median' or a positive finite number")
+        _check_bandwidth("bandwidth_mode", self.bandwidth_mode)
         flag = self.binary_outcome
         _check("binary_outcome", flag, type(flag) is bool, "a bool")
 
 
 def _is_finite(value) -> bool:
-    """True for a finite int or float; bools and strings are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite int or float, numpy scalars included; bools and
+    strings are not numbers here."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    return number and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _check(name: str, value, ok, rule: str) -> None:
@@ -111,6 +110,11 @@ def _check(name: str, value, ok, rule: str) -> None:
 
 def _check_int(name: str, value, low: int) -> None:
     _check(name, value, type(value) is int and value >= low, f"an integer >= {low}")
+
+
+def _check_bandwidth(name: str, value) -> None:
+    ok = value == "median" or (_is_finite(value) and value > 0)
+    _check(name, value, ok, "'median' or a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -326,14 +330,19 @@ def _context_mmd2(preds, sigma, want_grads=False):
     return ((levels - 1) * self_sum - 2.0 * cross_sum) / pairs, grads
 
 
-def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: float) -> float:
+def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: str | float) -> float:
     """Biased squared maximum mean discrepancy with kernel exp(-d^2/bandwidth),
-    the bandwidth raised to at least 2^-1000 (``_context_mmd2``)."""
+    the bandwidth raised to at least 2^-1000 (``_context_mmd2``).
+
+    ``bandwidth`` is a positive finite number, or ``"median"`` for the median
+    heuristic on the pooled samples.
+    """
+    _check_bandwidth("bandwidth", bandwidth)
     pa = np.asarray(ya, dtype=float).ravel()
     pb = np.asarray(yb, dtype=float).ravel()
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("samples must be nonempty")
-    return _context_mmd2([pa, pb], bandwidth)[0]
+    return _mmd2_discrepancy([pa, pb], False, bandwidth)[0]
 
 
 def median_bandwidth(values: np.ndarray, cap: int = 512) -> float:
@@ -486,7 +495,7 @@ def _forward(params, x, binary: bool):
     hidden += params["b1"]
     np.tanh(hidden, out=hidden)
     raw = (hidden @ params["w2"] + params["b2"]).ravel()
-    out = expit(raw) if binary else raw
+    out = sigmoid(raw) if binary else raw
     return out, hidden
 
 
@@ -684,7 +693,10 @@ def evaluate(
     Unfairness is the squared MMD between the model's predictions across the
     ground-truth interventional datasets, averaged over unordered
     sensitive-level pairs and over intervention contexts and groups.
+    ``bandwidth_mode`` is a positive finite number, or ``"median"`` for the
+    median heuristic on each context's pooled predictions.
     """
+    _check_bandwidth("bandwidth_mode", bandwidth_mode)
     x, cells = _stack(
         obs_test.matrix(model.features), truth_interventional, model.features, "test"
     )

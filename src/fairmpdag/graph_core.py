@@ -53,8 +53,6 @@ class Pdag:
     ):
         names = tuple(names)
         index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise GraphError("duplicate vertex names")
         dmat = np.zeros((len(names), len(names)), dtype=bool)
         umat = np.zeros_like(dmat)
         edges = [(e, dmat) for e in directed] + [(e, umat) for e in undirected]
@@ -83,6 +81,10 @@ class Pdag:
         self, names: tuple[str, ...], index: dict[str, int], dmat: np.ndarray, umat: np.ndarray
     ) -> None:
         """Shared tail of both constructors; ``dmat`` and ``umat`` are owned by the graph."""
+        if len(index) != len(names):
+            raise GraphError("duplicate vertex names")
+        if dmat.shape != (len(names), len(names)) or umat.shape != dmat.shape:
+            raise GraphError(f"mark matrices must be {len(names)} x {len(names)}")
         self.names = names
         self._index = index
         self._dir = _frozen(dmat)

@@ -28,6 +28,7 @@ from .causal_ident import (
 from .density_gen import fit_bucket_conditionals, generate_interventional, models_to_json
 from .fair_train import (
     EvalRecord,
+    FairPredictor,
     InterventionalSet,
     TrainConfig,
     Variant,
@@ -224,9 +225,8 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
             for a, b in undirected
             if a in intervened or b in intervened
         ]
-    remaining = [
-        (a, b) for a, b in undirected if (a, b) not in {tuple(sorted(e)) for e in required}
-    ]
+    oriented = {tuple(sorted(e)) for e in required}
+    remaining = [(a, b) for a, b in undirected if (a, b) not in oriented]
     n_extra = int(round(cfg.bk_fraction * len(remaining)))
     extra_idx = rng.choice(len(remaining), size=n_extra, replace=False) if n_extra else []
     extra = [_true_orientation(true_dag, *remaining[i]) for i in sorted(extra_idx)]
@@ -313,7 +313,7 @@ class NonFiniteMetricError(ValueError):
 
 def run_case(
     cfg: ExperimentConfig, case: GraphCase, variant: Variant, lam: float, seed: int
-) -> tuple[EvalRecord, "FairPredictor"]:
+) -> tuple[EvalRecord, FairPredictor]:
     """Train one predictor and score it; raises ``NonFiniteMetricError`` when
     its rmse or mmd2 is not finite."""
     model = train_predictor(

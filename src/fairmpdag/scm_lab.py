@@ -4,10 +4,11 @@ Random ER DAGs and one structural model over them: each vertex is its
 standard-normal noise times a scale plus the weighted sum of its parents,
 pushed through a per-vertex mechanism. Linear models draw weights of
 magnitude 0.1..1 and use the identity mechanism; nonlinear models use unit
-weights and a random sin/cos/tanh/sigmoid mechanism. Sampling is ancestral
-for observational data and by clamping for true interventional data. The
-discrete sensitive vertex has its incoming edges removed when a model is
-built so its uniform exogenous draw stays consistent with the graph.
+weights and a random sin/cos/tanh/sigmoid mechanism, the sigmoid being
+1 / (1 + exp(-x)). Sampling is ancestral for observational data and by
+clamping for true interventional data. The discrete sensitive vertex has its
+incoming edges removed when a model is built so its uniform exogenous draw
+stays consistent with the graph.
 
 All randomness flows from a single integer seed through
 :func:`numpy.random.SeedSequence` spawn keys, so any sampling step is
@@ -19,7 +20,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .graph_core import GraphError, Pdag
 
@@ -88,8 +88,14 @@ class Dataset:
 # -- models ------------------------------------------------------------------
 
 
+def sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)); 0.0 below about -709.78, where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 # Base mechanisms by tag; ``None`` marks the identity.
-MECHANISMS = {"linear": None, "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "sigmoid": expit}
+MECHANISMS = {"linear": None, "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "sigmoid": sigmoid}
 
 
 @dataclass(frozen=True)

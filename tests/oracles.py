@@ -9,7 +9,6 @@ import itertools
 from collections import deque
 
 import numpy as np
-from scipy.special import expit
 
 from fairmpdag import (
     DirectedCycleError,
@@ -351,7 +350,7 @@ def two_branch_sample(scm, kind: str, n: int, rng: np.random.Generator, clamp) -
                 elif tag == "tanh":
                     value = np.tanh(value)
                 elif tag == "sigmoid":
-                    value = expit(value)
+                    value = 1.0 / (1.0 + np.exp(-value))
         columns[v] = value
     return columns
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fairmpdag
 from fairmpdag.cli import main
 
 from .conftest import BK_DEMO_DAG, NINE_BUCKETS
@@ -149,3 +154,18 @@ def test_experiment_missing_cpdag_file_names_path(tmp_path):
             f"{config}: config: cpdag_dir: no such file or directory '{tmp_path / missing}'"
         )
         assert not (tmp_path / "out").exists()
+
+
+def test_cold_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy alone would double the start-up time
+    src = str(Path(fairmpdag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, fairmpdag, fairmpdag.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -77,6 +77,22 @@ class TestMmd2:
         with pytest.raises(ValueError):
             mmd2([], [1.0], 1.0)
 
+    @pytest.mark.parametrize("bandwidth", [0, -5.0, float("nan"), float("inf"), "2", True])
+    def test_meaningless_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="^bandwidth must be 'median' or a positive"):
+            mmd2([0.0, 0.5], [1.0, 2.0], bandwidth)
+
+    def test_numpy_scalar_bandwidth_accepted(self):
+        ya, yb = [0.0, 0.5], [1.0, 2.0]
+        assert mmd2(ya, yb, np.float32(0.5)) == mmd2(ya, yb, 0.5)
+        assert mmd2(ya, yb, np.int64(2)) == mmd2(ya, yb, 2.0)
+
+    def test_median_bandwidth_of_the_pooled_samples(self):
+        rng = np.random.default_rng(229)
+        ya, yb = rng.normal(size=9), rng.normal(size=14) + 0.5
+        sigma = median_bandwidth(np.concatenate([ya, yb]))
+        assert mmd2(ya, yb, "median") == mmd2(ya, yb, sigma)
+
 
 class TestContextMmd2:
     @pytest.mark.parametrize("sizes", [(7, 12), (5, 9, 14), (3, 8, 6, 11)])
@@ -519,31 +535,42 @@ class TestBinaryOutcomeMode:
         assert gap(fair) < gap(plain)
 
 
+def constant_predictor_case():
+    rng = np.random.default_rng(401)
+    y = rng.normal(loc=2.0, scale=1.5, size=500)
+    data = Dataset({"A": rng.normal(size=500), "Y": y}, split_tags(500, (("test", 1),)))
+    model = FairPredictor(
+        variant=Variant.FULL,
+        features=("A",),
+        admissible=(),
+        weights={
+            "w1": np.zeros((1, 4)),
+            "b1": np.zeros(4),
+            "w2": np.zeros((4, 1)),
+            "b2": np.array([y.mean()]),
+        },
+        lam=0.0,
+        seed=0,
+    )
+    truth = [
+        InterventionalSet(data, 0.0),
+        InterventionalSet(data, 1.0),
+    ]
+    return model, data, truth
+
+
 class TestEvaluate:
     def test_constant_predictor(self):
-        rng = np.random.default_rng(401)
-        y = rng.normal(loc=2.0, scale=1.5, size=500)
-        data = Dataset({"A": rng.normal(size=500), "Y": y}, split_tags(500, (("test", 1),)))
-        model = FairPredictor(
-            variant=Variant.FULL,
-            features=("A",),
-            admissible=(),
-            weights={
-                "w1": np.zeros((1, 4)),
-                "b1": np.zeros(4),
-                "w2": np.zeros((4, 1)),
-                "b2": np.array([y.mean()]),
-            },
-            lam=0.0,
-            seed=0,
-        )
-        truth = [
-            InterventionalSet(data, 0.0),
-            InterventionalSet(data, 1.0),
-        ]
+        model, data, truth = constant_predictor_case()
         rec = evaluate(model, data, truth, outcome="Y")
         assert rec.mmd2 == pytest.approx(0.0, abs=1e-12)
-        assert rec.rmse == pytest.approx(y.std(), abs=1e-12)
+        assert rec.rmse == pytest.approx(data.columns["Y"].std(), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [0, -5.0, float("nan"), float("inf"), "2", True])
+    def test_meaningless_bandwidth_mode_rejected(self, mode):
+        model, data, truth = constant_predictor_case()
+        with pytest.raises(ValueError, match="^bandwidth_mode must be 'median' or a positive"):
+            evaluate(model, data, truth, outcome="Y", bandwidth_mode=mode)
 
     def test_three_levels_pair_count(self):
         rng = np.random.default_rng(409)

@@ -95,6 +95,16 @@ class TestParse:
             assert parse_graph(cpdag.to_text()) == cpdag
 
 
+def test_from_arrays_rejects_what_init_rejects():
+    z2, z3 = np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool)
+    with pytest.raises(GraphError, match="^duplicate vertex names$"):
+        Pdag(["A", "A"])
+    with pytest.raises(GraphError, match="^duplicate vertex names$"):
+        Pdag.from_arrays(["A", "A"], z2, z2)
+    with pytest.raises(GraphError, match="^mark matrices must be 2 x 2$"):
+        Pdag.from_arrays(["A", "B"], z3, z3)
+
+
 class TestUnshieldedColliders:
     def test_collider(self):
         assert unshielded_colliders(parse_graph("X -> Z\nY -> Z")) == {("X", "Z", "Y")}

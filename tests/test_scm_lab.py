@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from fairmpdag import (
     Dataset,
@@ -17,7 +20,7 @@ from fairmpdag import (
     sample_interventional_truth,
     sample_observational,
 )
-from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, child_rng, split_tags
+from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, child_rng, sigmoid, split_tags
 
 from .oracles import permutation_null_quantile, two_branch_sample
 
@@ -226,6 +229,30 @@ class TestNonlinearSampling:
         # sin of a sigmoid stays within sin([0, 1])
         assert np.all(data.columns["X"] >= 0.0)
         assert np.all(data.columns["X"] <= np.sin(1.0) + 1e-12)
+
+
+class TestSigmoid:
+    def test_within_two_ulp_of_scipy_expit(self):
+        # expit is the same formula over the C library's exp; numpy's exp is
+        # within 1 ulp of that, which the sum and the reciprocal can make 2
+        rng = np.random.default_rng(79)
+        for scale in (1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4):
+            x = scale * rng.standard_normal(20_000)
+            got, want = sigmoid(x), expit(x)
+            # both lie in [0, 1], where adjacent doubles have adjacent bit patterns
+            ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+            assert ulps.max() <= 2, scale
+
+    def test_equals_scipy_expit_at_special_values(self):
+        x = np.array([0.0, np.inf, -np.inf, np.nan, -1000.0])
+        np.testing.assert_array_equal(sigmoid(x), expit(x))
+        assert sigmoid(-1000.0) == 0.0 and sigmoid(0.0) == 0.5
+
+    def test_no_overflow_warning_far_below_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(-1000.0) == 0.0
+            assert sigmoid(np.full(3, -1000.0)).tolist() == [0.0, 0.0, 0.0]
 
 
 MAKERS = {"linear": random_linear_scm, "nonlinear": random_nonlinear_scm}
