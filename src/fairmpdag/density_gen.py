@@ -18,9 +18,6 @@ from .causal_ident import CausalOrdering, IdentificationFormula
 from .graph_core import Pdag, parents
 from .scm_lab import SPLIT_82, Dataset, child_rng, split_tags
 
-RIDGE_SCALE = 1e-6
-
-
 @dataclass(frozen=True)
 class BucketConditional:
     """Linear-Gaussian conditional of a bucket given its parents."""
@@ -37,10 +34,9 @@ def fit_bucket_conditionals(
 ) -> list[BucketConditional]:
     """OLS fit of every bucket on its graph parents.
 
-    A rank-deficient design falls back to ridge with penalty
-    ``RIDGE_SCALE * trace(X'X)``. The residual covariance is the
-    maximum-likelihood estimate, symmetrized with negative eigenvalues
-    clipped to zero.
+    A rank-deficient design gets the minimum-norm least-squares solution.
+    The residual covariance is the maximum-likelihood estimate, symmetrized
+    with negative eigenvalues clipped to zero.
     """
     models = []
     for bucket in ordering.buckets:
@@ -49,13 +45,7 @@ def fit_bucket_conditionals(
         y = data.matrix(members)
         n = y.shape[0]
         design = np.column_stack([np.ones(n)] + [data.columns[p] for p in pa])
-        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < design.shape[1]:
-            gram = design.T @ design
-            penalty = RIDGE_SCALE * np.trace(gram)
-            beta = np.linalg.solve(
-                gram + penalty * np.eye(design.shape[1]), design.T @ y
-            )
+        beta = np.linalg.lstsq(design, y, rcond=None)[0]
         resid = y - design @ beta
         cov = resid.T @ resid / n
         cov = (cov + cov.T) / 2

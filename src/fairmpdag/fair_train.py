@@ -345,8 +345,11 @@ def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: str | float) -> fl
     return _mmd2_discrepancy([pa, pb], False, bandwidth)[0]
 
 
-def median_bandwidth(values: np.ndarray, cap: int = 512) -> float:
-    """Median pairwise squared distance, on an even subsample past ``cap``.
+_BANDWIDTH_SAMPLE = 512
+
+
+def median_bandwidth(values: np.ndarray) -> float:
+    """Median pairwise squared distance, on an even subsample past ``_BANDWIDTH_SAMPLE``.
 
     Falls back to the mean squared distance when the median is 0, and to 1.0
     when that is 0 too, when there are fewer than two values, or when a
@@ -355,8 +358,8 @@ def median_bandwidth(values: np.ndarray, cap: int = 512) -> float:
     monotone, so its square is the median squared distance.
     """
     v = np.asarray(values, dtype=float).ravel()
-    if len(v) > cap:
-        v = v[np.linspace(0, len(v) - 1, cap).astype(int)]
+    if len(v) > _BANDWIDTH_SAMPLE:
+        v = v[np.linspace(0, len(v) - 1, _BANDWIDTH_SAMPLE).astype(int)]
     n = len(v)
     if n < 2 or np.isnan(v).any():
         return 1.0

@@ -29,11 +29,6 @@ class DirectedCycleError(GraphError):
     """The directed part of the graph contains a cycle."""
 
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    mat.setflags(write=False)
-    return mat
-
-
 class Pdag:
     """Partially directed acyclic graph over named vertices.
 
@@ -58,8 +53,6 @@ class Pdag:
         edges = [(e, dmat) for e in directed] + [(e, umat) for e in undirected]
         for (a, b), marks in edges:
             i, j = _lookup(index, a), _lookup(index, b)
-            if i == j:
-                raise GraphError(f"self-edge at {a!r}")
             if dmat[i, j] or dmat[j, i] or umat[i, j] or umat[j, i]:
                 raise GraphError(f"duplicate edge between {a!r} and {b!r}")
             marks[i, j] = True
@@ -68,31 +61,38 @@ class Pdag:
     @classmethod
     def from_arrays(cls, names: Sequence[str], dmat: np.ndarray, umat: np.ndarray) -> "Pdag":
         """Fast constructor from mark matrices; validates like __init__."""
-        if (dmat & dmat.T).any() or (dmat & umat).any() or (umat != umat.T).any():
-            raise GraphError("inconsistent mark matrices")
-        if np.diagonal(dmat).any() or np.diagonal(umat).any():
-            raise GraphError("self-edge")
         names = tuple(names)
         g = object.__new__(cls)
-        g._set_marks(names, {name: i for i, name in enumerate(names)}, dmat.copy(), umat.copy())
+        index = {name: i for i, name in enumerate(names)}
+        g._set_marks(names, index, np.array(dmat), np.array(umat))
         return g
 
     def _set_marks(
         self, names: tuple[str, ...], index: dict[str, int], dmat: np.ndarray, umat: np.ndarray
     ) -> None:
-        """Shared tail of both constructors; ``dmat`` and ``umat`` are owned by the graph."""
-        if len(index) != len(names):
+        """The one structural check, cheapest rule first; the graph owns the marks."""
+        n = len(names)
+        if len(index) != n:
             raise GraphError("duplicate vertex names")
-        if dmat.shape != (len(names), len(names)) or umat.shape != dmat.shape:
-            raise GraphError(f"mark matrices must be {len(names)} x {len(names)}")
+        if dmat.shape != (n, n) or umat.shape != (n, n):
+            raise GraphError(f"mark matrices must be {n} x {n}")
+        if dmat.dtype != bool or umat.dtype != bool:
+            raise GraphError("mark matrices must be boolean")
+        loops = np.flatnonzero(np.diagonal(dmat) | np.diagonal(umat))
+        if len(loops):
+            raise GraphError(f"self-edge at {names[loops[0]]!r}")
+        clash = (dmat & dmat.T) | (dmat & umat) | (umat != umat.T)
+        if clash.any():
+            i, j = np.argwhere(clash | clash.T)[0]
+            raise GraphError(f"inconsistent marks between {names[i]!r} and {names[j]!r}")
+        if len(_kahn_order(dmat)) != n:
+            raise DirectedCycleError("directed cycle")
         self.names = names
         self._index = index
-        self._dir = _frozen(dmat)
-        self._und = _frozen(umat)
-        self._adj = _frozen(dmat | dmat.T | umat)
+        self._dir, self._und, self._adj = dmat, umat, dmat | dmat.T | umat
+        for marks in (self._dir, self._und, self._adj):
+            marks.setflags(write=False)
         self._hash: int | None = None
-        if _has_directed_cycle(dmat):
-            raise DirectedCycleError("directed cycle")
 
     # -- basic queries ----------------------------------------------------
 
@@ -219,10 +219,6 @@ def _lookup(index: dict[str, int], name: str) -> int:
         raise GraphError(f"unknown vertex {name!r}") from None
 
 
-def _has_directed_cycle(dmat: np.ndarray) -> bool:
-    return len(_kahn_order(dmat)) != dmat.shape[0]
-
-
 def _successor_lists(dmat: np.ndarray) -> list[list[int]]:
     """Row ``i`` lists the columns set in ``dmat[i]``, in increasing order."""
     succ: list[list[int]] = [[] for _ in range(dmat.shape[0])]
@@ -301,7 +297,8 @@ def parse_graph(text: str) -> Pdag:
             raise GraphParseError(f"self-edge at {a!r}", lineno)
         pair = frozenset((a, b))
         if pair in edges:
-            kind = "directed cycle" if edges[pair] == (b, a, "->") else "duplicate edge"
+            cycle = edges[pair] == (b, a, "->") and tokens[1] == "->"
+            kind = "directed cycle" if cycle else "duplicate edge"
             raise GraphParseError(f"{kind} between {a!r} and {b!r}", lineno)
         edges[pair] = (a, b, tokens[1])
     directed = [(a, b) for a, b, arrow in edges.values() if arrow == "->"]

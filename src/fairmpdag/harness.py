@@ -167,7 +167,6 @@ class GraphCase:
     """Everything one graph contributes to the sweep."""
 
     setting: GraphSetting
-    graph_id: int
     scm: Scm
     obs: Dataset
     mpdag: Pdag
@@ -218,15 +217,12 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
     undirected = sorted(
         (a, b) for a, b in cpdag.undirected_edges if true_dag.adjacent(a, b)
     )
-    required = []
-    if not cfg.unidentifiable_mode:
-        required = [
-            _true_orientation(true_dag, a, b)
-            for a, b in undirected
-            if a in intervened or b in intervened
-        ]
-    oriented = {tuple(sorted(e)) for e in required}
-    remaining = [(a, b) for a, b in undirected if (a, b) not in oriented]
+    required, remaining = [], []
+    for a, b in undirected:
+        if not cfg.unidentifiable_mode and (a in intervened or b in intervened):
+            required.append(_true_orientation(true_dag, a, b))
+        else:
+            remaining.append((a, b))
     n_extra = int(round(cfg.bk_fraction * len(remaining)))
     extra_idx = rng.choice(len(remaining), size=n_extra, replace=False) if n_extra else []
     extra = [_true_orientation(true_dag, *remaining[i]) for i in sorted(extra_idx)]
@@ -280,7 +276,6 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
 
     return GraphCase(
         setting=setting,
-        graph_id=graph_id,
         scm=scm,
         obs=obs,
         mpdag=mpdag,

@@ -58,7 +58,7 @@ class TestFit:
         eigvals = np.linalg.eigvalsh(triple.residual_cov)
         assert eigvals.min() >= -1e-9
 
-    def test_collinear_design_uses_ridge(self):
+    def test_collinear_design_gets_finite_least_squares_fit(self):
         from fairmpdag.scm_lab import Dataset, split_tags
 
         n = 200

@@ -62,7 +62,8 @@ class TestParse:
 
     def test_duplicate_edge_names_line(self):
         for text, message in (
-            ("A -> B\nB -- A", "directed cycle between 'B' and 'A'"),
+            ("A -> B\nB -> A", "directed cycle between 'B' and 'A'"),
+            ("A -> B\nB -- A", "duplicate edge between 'B' and 'A'"),
             ("A -> B\nA -> B", "duplicate edge between 'A' and 'B'"),
             ("A -- B\nB -> A", "duplicate edge between 'B' and 'A'"),
             ("A -- B\nA -- B", "duplicate edge between 'A' and 'B'"),
@@ -103,6 +104,39 @@ def test_from_arrays_rejects_what_init_rejects():
         Pdag.from_arrays(["A", "A"], z2, z2)
     with pytest.raises(GraphError, match="^mark matrices must be 2 x 2$"):
         Pdag.from_arrays(["A", "B"], z3, z3)
+    z23 = np.zeros((2, 3), dtype=bool)
+    with pytest.raises(GraphError, match="^mark matrices must be 2 x 2$"):
+        Pdag.from_arrays(["A", "B"], z23, z23)
+    with pytest.raises(GraphError, match="^mark matrices must be 2 x 2$"):
+        Pdag.from_arrays(["A", "B"], np.zeros(2, dtype=bool), np.zeros(2, dtype=bool))
+    for marks in (np.zeros((2, 2)), np.zeros((2, 2), dtype=int), [[0, 1], [0, 0]]):
+        with pytest.raises(GraphError, match="^mark matrices must be boolean$"):
+            Pdag.from_arrays(["A", "B"], marks, z2)
+    loop = np.array([[False, False], [False, True]])
+    with pytest.raises(GraphError, match="^self-edge at 'B'$"):
+        Pdag(["A", "B"], directed=[("B", "B")])
+    with pytest.raises(GraphError, match="^self-edge at 'B'$"):
+        Pdag.from_arrays(["A", "B"], loop, z2)
+    with pytest.raises(GraphError, match="^self-edge at 'B'$"):
+        Pdag.from_arrays(["A", "B"], z2, loop)
+    arrow, both_arrows = np.array([[0, 1], [0, 0]], bool), np.array([[0, 1], [1, 0]], bool)
+    # two arrows, an arrow and a line, a line marked one way only
+    for dmat, umat in ((both_arrows, z2), (arrow, both_arrows), (z2, arrow)):
+        with pytest.raises(GraphError, match="^inconsistent marks between 'A' and 'B'$"):
+            Pdag.from_arrays(["A", "B"], dmat, umat)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_from_arrays_copies_a_graph_exactly(seed):
+    _, _, g = random_mpdag(np.random.default_rng(seed))
+    dmat, umat = g.directed_mask.copy(), g.undirected_mask.copy()
+    copy = Pdag.from_arrays(g.names, dmat, umat)
+    dmat[:] = True
+    umat[:] = False
+    twin = Pdag(g.names, g.directed_edges, g.undirected_edges)
+    assert copy == g == twin
+    assert hash(copy) == hash(g) == hash(twin)
 
 
 class TestUnshieldedColliders:

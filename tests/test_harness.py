@@ -121,6 +121,34 @@ class TestBuildCase:
         observed = [v for v in more.scm.dag.names if v != more.outcome]
         assert more.mpdag == more.scm.dag.induced_subgraph(observed)
 
+    def test_bk_fraction_draws_only_from_edges_not_required(self, monkeypatch):
+        # at d >= 10 index order and string order of vertex names differ
+        # (X6 before X10), so the split must not re-sort the pairs
+        calls = []
+
+        def record(g, bk):
+            calls.append((g, list(bk)))
+            return construct_mpdag(g, bk)
+
+        construct_mpdag = harness.construct_mpdag
+        monkeypatch.setattr(harness, "construct_mpdag", record)
+        fraction = 0.5
+        cfg = small_config(
+            graph_settings=(GraphSetting(d=30, s=45, count=6, admissible_count=2),),
+            seed=1,
+            sample_n=100,
+            interventional_n=20,
+            bk_fraction=fraction,
+        )
+        for gid in range(6):
+            case = build_case(cfg, 0, gid)
+            cpdag, bk = calls[-1]
+            intervened = {case.sensitive, *case.admissible}
+            touching = [e for e in cpdag.undirected_edges if intervened & set(e)]
+            rest = len(cpdag.undirected_edges) - len(touching)
+            assert len(set(bk)) == len(bk) == len(touching) + round(fraction * rest)
+            assert {frozenset(e) for e in touching} <= {frozenset(e) for e in bk}
+
 
 class TestUnidentifiableMode:
     def test_candidates_enumerated_and_trainable(self):
