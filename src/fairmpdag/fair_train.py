@@ -17,23 +17,26 @@ into one output gradient, and training then makes one backward pass.
 
 One kernel serves the training penalty, the validation pass, evaluation and
 ``mmd2``: ``_context_mmd2`` takes the predictions for every level of one
-context and builds each self block K_ii and each cross block K_ij (i < j)
-once, L + L(L-1)/2 blocks for L levels instead of three per level pair. The
-gradient with respect to each level's predictions comes from the same
-blocks; the validation pass and evaluation take the value-only path. Blocks
-are built in cache-sized row chunks in one reused buffer, and a self block
-only from the diagonal on: its upper triangle plus the square each row chunk
-has on the diagonal, from which symmetry gives the whole block's mean and
-row sums. Matrix products do the work: a chunk's differences come exactly
-from the rank-2 product [a, 1] @ [1; -b], and the gradient sums from two
-thin products of the kernel chunk against moments centred at the mean
-prediction, instead of an elementwise difference-times-kernel product and
-its reductions. Precision policy: only gradient blocks with more than 65536
-entries are evaluated in float32, on the centred predictions, unless
-float32 cannot hold their squared differences or the kernel scale; every
-value-only block and every other gradient block is float64. The kernel
-raises a bandwidth below 2^-1000 to 2^-1000, so its scale and gradient
-coefficients stay finite at every positive bandwidth.
+context. Without gradients (validation, evaluation, ``mmd2``) it is exact:
+it builds each self block K_ii and each cross block K_ij (i < j) once,
+L + L(L-1)/2 blocks for L levels instead of three per level pair, in
+cache-sized row chunks in one reused buffer, and a self block only from the
+diagonal on, from which symmetry gives the whole block's mean and row sums.
+A chunk's differences come exactly from the rank-2 product [a, 1] @ [1; -b].
+
+Precision: everything is float64. Training, which needs gradients, goes
+through one Chebyshev interpolant of the kernel per context
+(``_interpolated_mmd2``): the predictions are scalars, and over a span of s
+kernel widths sqrt(sigma) the Gaussian kernel is a rank-p product with
+p = 16 + ceil(6 s) to float64 rounding, so every block sum and every
+gradient sum costs O(L n p) instead of O(L^2 n^2). The gradients match
+whole-block float64 sums to 1e-12 in kernel units (the error times
+P sqrt(sigma) n_i / (4 (L - 1)), P the number of level pairs). A context
+wider than 16 widths, or with a NaN or infinite prediction, takes the exact
+blocks, whose gradient sums come from two thin products of each kernel
+chunk against moments centred at the mean prediction. The kernel raises a
+bandwidth below 2^-1000 to 2^-1000, so its scale and gradient coefficients
+stay finite at every positive bandwidth.
 
 The median-heuristic bandwidth (``median_bandwidth``) is selected by
 sorted-difference selection: the differences s[j] - s[i] (i < j) of the
@@ -192,17 +195,6 @@ class FairPredictor:
 
 # -- MMD -----------------------------------------------------------------------
 
-# Gradient blocks with more entries than this are evaluated in float32: the
-# training loop only needs gradient direction, and halving the memory traffic
-# roughly doubles throughput. Smaller gradient blocks and every value-only
-# block (validation, evaluation, ``mmd2``) stay in float64.
-_FLOAT32_BLOCK = 65536
-# A gradient block also stays in float64 when float32 would not hold it: when
-# its centred predictions reach _FLOAT32_SPREAD (their squared differences
-# overflow) or 1/sigma reaches _FLOAT32_SCALE (the kernel scale overflows, or
-# the squared differences that matter are subnormal).
-_FLOAT32_SPREAD = 2.0**62
-_FLOAT32_SCALE = 2.0**100
 # Kernel blocks are built in row chunks of about this many entries, in one
 # buffer that stays in cache instead of each block allocating several
 # block-sized temporaries.
@@ -214,6 +206,21 @@ _CHUNK_ENTRIES = 65536
 # than 8.3e-150 apart underflow to 0 at the floor as below it, so the floor
 # changes only entries of predictions closer than that.
 _MIN_BANDWIDTH = 2.0**-1000
+# A training context (``_context_mmd2`` with gradients) whose pooled
+# predictions span at most _SPAN_CAP kernel widths sqrt(sigma) goes through
+# one Chebyshev interpolant of the kernel (``_interpolated_mmd2``) with
+# _NODES_BASE + ceil(_NODES_PER_SPAN * span) nodes. The Chebyshev coefficients
+# of exp(-(x - y)^2) over a span s fall like exp(-k^2 / s^2), so k = 6 s
+# reaches the float64 rounding level; the 16 nodes on top cover small spans,
+# where that estimate is loose. At the cap that is 112 nodes. Training spans
+# run to about 13 widths at the median-heuristic bandwidth; a wider context
+# takes the exact blocks.
+_SPAN_CAP = 16.0
+_NODES_BASE = 16
+_NODES_PER_SPAN = 6.0
+# The nodes cover the span and this many kernel widths on either side, so a
+# context whose predictions are all equal (span 0) still has distinct nodes.
+_NODE_MARGIN = 1.0 / 16
 
 
 def _kernel_block(pa, pb, sigma, want_grads, symmetric):
@@ -221,8 +228,8 @@ def _kernel_block(pa, pb, sigma, want_grads, symmetric):
 
     With ``want_grads`` also returns the row sums of (pa[k] - pb[l]) K[k, l]
     and, unless the block is a self block (``symmetric``, ``pb`` is ``pa``),
-    the column sums, both in float64. The block is built in row chunks of
-    about ``_CHUNK_ENTRIES`` entries in one buffer reused for every chunk.
+    the column sums. The block is built in row chunks of about
+    ``_CHUNK_ENTRIES`` entries in one buffer reused for every chunk.
     A chunk's differences are the matrix product [a, 1] @ [1; -b]: each entry
     is a * 1 + 1 * (-b), one rounding, as ``np.subtract.outer``. They are
     squared, scaled and exponentiated in place, and the block sum adds
@@ -232,10 +239,7 @@ def _kernel_block(pa, pb, sigma, want_grads, symmetric):
     c = mean(pa), which keeps the cancellation small: a row's sum is
     (a[k] - c) (K 1)[k] - (K (b - c))[k], from K @ [1, b - c], and a
     column's sum is (K^T (a - c))[l] - (b[l] - c) (K^T 1)[l], from
-    [1; a - c] @ K carried across chunks in float64. A float32 block takes
-    its differences from the centred predictions, so that they fit; one
-    whose centred predictions or kernel scale float32 cannot hold stays in
-    float64.
+    [1; a - c] @ K carried across chunks.
 
     A self block builds, for each chunk, only the columns from the chunk's
     first row on: its square on the diagonal and the strip to its right,
@@ -245,29 +249,23 @@ def _kernel_block(pa, pb, sigma, want_grads, symmetric):
     entries are built, so a NaN or infinite prediction still makes the mean
     and its row NaN.
     """
-    dtype, xa, xb = np.float64, pa, pb
     if want_grads:
         shift = float(pa.mean())
         ca = pa - shift
         cb = ca if symmetric else pb - shift
-        spread = max(np.abs(ca).max(), np.abs(cb).max())
-        fits = spread < _FLOAT32_SPREAD and 1.0 / sigma < _FLOAT32_SCALE
-        if fits and len(pa) * len(pb) > _FLOAT32_BLOCK:
-            dtype = np.float32
-            xa, xb = ca.astype(dtype), cb.astype(dtype)
-        right = np.ones((len(pb), 2), dtype)
+        right = np.ones((len(pb), 2))
         right[:, 1] = cb
-        left = np.ones((2, len(pa)), dtype)
+        left = np.ones((2, len(pa)))
         left[1] = ca
         moments = np.zeros((2, len(pb)))
         rows = np.empty(len(pa))
-    lead = np.ones((len(pa), 2), dtype)
-    lead[:, 0] = xa
-    trail = np.ones((2, len(pb)), dtype)
-    np.negative(xb, out=trail[1])
-    scale = dtype(-1.0 / sigma)
+    lead = np.ones((len(pa), 2))
+    lead[:, 0] = pa
+    trail = np.ones((2, len(pb)))
+    np.negative(pb, out=trail[1])
+    scale = -1.0 / sigma
     step = min(len(pa), max(1, _CHUNK_ENTRIES // len(pb)))
-    buf = np.empty(step * len(pb), dtype)
+    buf = np.empty(step * len(pb))
     total = 0.0
     for start in range(0, len(pa), step):
         stop = min(start + step, len(pa))
@@ -300,16 +298,27 @@ def _context_mmd2(preds, sigma, want_grads=False):
     """Mean MMD^2 over all level pairs of one context, and optionally its
     gradient with respect to each level's predictions.
 
-    Each self block K_ii and each cross block K_ij (i < j) is built once: with
-    L levels and P = L(L-1)/2 pairs the value is
-    [(L-1) sum_i mean K_ii - 2 sum_{i<j} mean K_ij] / P, and the gradients
-    follow from the same blocks. Returns ``(value, grads)``; ``grads`` is None
-    unless ``want_grads``. A bandwidth below ``_MIN_BANDWIDTH`` (2^-1000) is
-    raised to it, so finite predictions give a finite value and finite
-    gradients at any positive bandwidth; blocks at larger bandwidths are
-    unchanged.
+    With L levels and P = L(L-1)/2 pairs the value is
+    [(L-1) sum_i mean K_ii - 2 sum_{i<j} mean K_ij] / P. Returns
+    ``(value, grads)``; ``grads`` is None unless ``want_grads``. A bandwidth
+    below ``_MIN_BANDWIDTH`` (2^-1000) is raised to it, so finite predictions
+    give a finite value and finite gradients at any positive bandwidth.
+
+    The value-only path (validation, evaluation, ``mmd2``) builds each self
+    block K_ii and each cross block K_ij (i < j) once, exactly. With
+    ``want_grads`` (training) a context whose finite predictions span at most
+    ``_SPAN_CAP`` kernel widths sqrt(sigma) goes through one Chebyshev
+    interpolant of the kernel (``_interpolated_mmd2``); one with a wider span
+    or a NaN or infinite prediction takes the exact blocks, whose gradients
+    follow from the same blocks as the value.
     """
     sigma = max(sigma, _MIN_BANDWIDTH)
+    if want_grads:
+        low = float(np.min([p.min() for p in preds]))
+        high = float(np.max([p.max() for p in preds]))
+        span = (high - low) / math.sqrt(sigma)
+        if span <= _SPAN_CAP:  # False for a NaN or infinite prediction
+            return _interpolated_mmd2(preds, sigma, low + (high - low) / 2, span)
     levels = len(preds)
     pairs = levels * (levels - 1) // 2
     sizes = [len(p) for p in preds]
@@ -328,6 +337,95 @@ def _context_mmd2(preds, sigma, want_grads=False):
             grads[i] += scale * rows
             grads[j] -= scale * cols
     return ((levels - 1) * self_sum - 2.0 * cross_sum) / pairs, grads
+
+
+def _interpolated_mmd2(preds, sigma, centre, span):
+    """``_context_mmd2(preds, sigma, want_grads=True)`` through one Chebyshev
+    interpolant of the kernel, in O(L n p) for L levels of n rows and p nodes.
+
+    On the scaled predictions x = (p - centre) / sqrt(sigma), which lie in
+    [-span/2, span/2], the kernel is exp(-(x - y)^2). Put p Chebyshev points
+    t on the interval widened by ``_NODE_MARGIN`` and let b(x) be the
+    barycentric Lagrange basis at them (Berrut & Trefethen, SIAM Review
+    2004): exp(-(x - y)^2) ~ b(x)^T T b(y), T[a, c] = exp(-(t_a - t_c)^2).
+    Stack level i's basis rows in B_i and take its moments
+    M_i = B_i^T [1, x_i] (p x 2). Then the kernel sum of block (i, j) is
+    M_i0^T T M_j0, and the row sums of (x_k - y_l) K[k, l] are x u0 - u1
+    with u = B_i T M_j. Level i's gradient is a weighted sum of such rows
+    over j (self block included), so it is (x_i u0 - u1) / sqrt(sigma) with
+    u = B_i T W_i, W_i = sum_j w_ij M_j, w_ii = -4(L-1) / (P n_i^2) and
+    w_ij = 4 / (P n_i n_j): one product per level.
+
+    The basis is built twice, for the moments and for the gradients, in row
+    chunks of about ``_CHUNK_ENTRIES`` entries in one buffer
+    (``_basis_chunks``), so the working set is that of one kernel block
+    chunk.
+    """
+    levels = len(preds)
+    pairs = levels * (levels - 1) // 2
+    root = math.sqrt(sigma)
+    nodes = _NODES_BASE + math.ceil(_NODES_PER_SPAN * span)
+    t = (span / 2 + _NODE_MARGIN) * np.cos(np.arange(nodes) * (np.pi / (nodes - 1)))
+    weights = np.ones(nodes)
+    weights[1::2] = -1.0
+    weights[[0, -1]] /= 2
+    xs = [(p - centre) / root for p in preds]
+    step = max(1, _CHUNK_ENTRIES // nodes)
+    buf = np.empty(min(step, max(len(x) for x in xs)) * nodes)
+    moments = np.zeros((levels, nodes, 2))
+    for m, x in zip(moments, xs):
+        for rows, q, norm in _basis_chunks(x, t, weights, step, buf):
+            scaled = np.empty((len(norm), 2))
+            np.divide(1.0, norm, out=scaled[:, 0])
+            np.multiply(x[rows], scaled[:, 0], out=scaled[:, 1])
+            m += q.T @ scaled
+    moments *= weights[:, None]
+    kern = np.exp(-np.square(np.subtract.outer(t, t)))
+    inv = 1.0 / np.array([len(x) for x in xs], dtype=float)
+    m0 = moments[:, :, 0]
+    means = (m0 @ kern @ m0.T) * np.outer(inv, inv)  # mean K_ij
+    self_sum = np.trace(means)
+    value = ((levels - 1) * self_sum - (means.sum() - self_sum)) / pairs
+    coef = (4.0 / pairs) * np.outer(inv, inv)
+    coef[np.diag_indices(levels)] *= -(levels - 1)
+    mixed = (coef @ moments.reshape(levels, -1)).reshape(moments.shape)  # W_i
+    products = (kern @ mixed) * weights[:, None]
+    grads = []
+    for x, product in zip(xs, products):
+        g = np.empty(len(x))
+        for rows, q, norm in _basis_chunks(x, t, weights, step, buf):
+            u = q @ product
+            g[rows] = (x[rows] * u[:, 0] - u[:, 1]) / (norm * root)
+        grads.append(g)
+    return float(value), grads
+
+
+def _basis_chunks(x, t, weights, step, buf):
+    """The barycentric basis of the points ``x`` at the nodes ``t``, in row
+    chunks of ``step`` rows written into ``buf``.
+
+    Yields ``(rows, q, norm)``: row k of the basis is
+    q[k] * weights / norm[k], where q = 1 / (x - t) comes from the exact
+    differences [x, 1] @ [1; -t] (one rounding each, as in ``_kernel_block``)
+    and norm = q @ weights. A point on a node, whose difference is 0 or so
+    small that its reciprocal overflows, gets that node's unit row instead of
+    inf / inf.
+    """
+    trail = np.ones((2, len(t)))
+    np.negative(t, out=trail[1])
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        lead = np.ones((len(x[rows]), 2))
+        lead[:, 0] = x[rows]
+        q = buf[: len(lead) * len(t)].reshape(len(lead), len(t))
+        np.matmul(lead, trail, out=q)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.reciprocal(q, out=q)
+        norm = q @ weights
+        hit = np.flatnonzero(~np.isfinite(norm))
+        q[hit] = np.isinf(q[hit]) / weights
+        norm[hit] = 1.0
+        yield rows, q, norm
 
 
 def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: str | float) -> float:

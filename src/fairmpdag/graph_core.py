@@ -62,9 +62,13 @@ class Pdag:
     def from_arrays(cls, names: Sequence[str], dmat: np.ndarray, umat: np.ndarray) -> "Pdag":
         """Fast constructor from mark matrices; validates like __init__."""
         names = tuple(names)
+        try:
+            dmat, umat = np.array(dmat), np.array(umat)
+        except ValueError:  # a ragged nested list
+            raise GraphError(f"mark matrices must be {len(names)} x {len(names)}") from None
         g = object.__new__(cls)
         index = {name: i for i, name in enumerate(names)}
-        g._set_marks(names, index, np.array(dmat), np.array(umat))
+        g._set_marks(names, index, dmat, umat)
         return g
 
     def _set_marks(

@@ -24,7 +24,7 @@ from fairmpdag import (
 )
 from fairmpdag import fair_train
 from fairmpdag.fair_train import (
-    _FLOAT32_BLOCK,
+    _basis_chunks,
     _context_mmd2,
     _gap_rank,
     _init_params,
@@ -112,15 +112,17 @@ class TestContextMmd2:
         preds = [rng.normal(size=n) for n in sizes]
         value, grads = _context_mmd2(preds, 0.7)
         assert grads is None
-        assert value == _context_mmd2(preds, 0.7, want_grads=True)[0]
+        # exact blocks against the interpolant: kernel means are at most 1,
+        # and the interpolant is exact to float64 rounding
+        assert _context_mmd2(preds, 0.7, want_grads=True)[0] == pytest.approx(value, abs=1e-14)
 
     @pytest.mark.parametrize("offset", [0.0, 50.0])
     @pytest.mark.parametrize("chunk", [5000, 1 << 20])
-    def test_float32_gradient_sums_within_rounding_bound(self, offset, chunk, monkeypatch):
-        # 300 x 400 entries: a float32 cross block, in several row chunks or in
-        # one; its row and column sums against the float64 sums of
-        # (p_k - p_l) K[k, l], within n float32 roundings of terms of
-        # magnitude (|p_k - c| + |p_l - c|) K[k, l], c the mean of pa
+    def test_gradient_sums_within_rounding_bound(self, offset, chunk, monkeypatch):
+        # 300 x 400 entries: an exact cross block, in several row chunks or in
+        # one; its row and column sums against the sums of (p_k - p_l) K[k, l],
+        # within n float64 roundings of terms of magnitude
+        # (|p_k - c| + |p_l - c|) K[k, l], c the mean of pa
         monkeypatch.setattr(fair_train, "_CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(241)
         pa = rng.normal(size=300) + offset
@@ -131,27 +133,34 @@ class TestContextMmd2:
         prod = diff * kern
         c = pa.mean()
         terms = (np.abs(pa - c)[:, None] + np.abs(pb - c)[None, :]) * kern
-        eps = np.finfo(np.float32).eps
+        eps = np.finfo(float).eps
         _, rows, cols = _kernel_block(pa, pb, sigma, want_grads=True, symmetric=False)
-        row_err = np.abs(rows - prod.sum(axis=1))
-        assert np.all(row_err <= len(pb) * eps * terms.sum(axis=1))
+        assert np.all(np.abs(rows - prod.sum(axis=1)) <= len(pb) * eps * terms.sum(axis=1))
         assert np.all(np.abs(cols - prod.sum(axis=0)) <= len(pa) * eps * terms.sum(axis=0))
-        assert row_err.max() > 1e-9  # the block was float32, not float64
 
-    @pytest.mark.parametrize("unit", [1e39, 1e-25])
-    def test_gradient_block_out_of_float32_range_falls_back_to_float64(self, unit):
-        # the 300 x 300 blocks would be float32 by size, but 1e39 predictions
-        # overflow it, and at 1e-25 the kernel scale 1/sigma does
+    @pytest.mark.parametrize("unit, width, exact", [(1e39, 1.0, False), (1e-25, 1.0, False),
+                                                    (1.0, 6.0, True)])
+    def test_extreme_units_and_wide_span_match_dense_oracle(
+        self, unit, width, exact, monkeypatch
+    ):
+        # 1e39 predictions (past the float32 range) and a bandwidth of 1e-50
+        # span about 7 kernel widths sqrt(sigma) and go through the
+        # interpolant; six times as wide is past _SPAN_CAP and takes the
+        # exact blocks
+        blocks = []
+        kernel_block = fair_train._kernel_block
+        monkeypatch.setattr(
+            fair_train, "_kernel_block", lambda *a: blocks.append(a) or kernel_block(*a)
+        )
         rng = np.random.default_rng(263)
-        preds = [rng.normal(size=300) * unit, (rng.normal(size=300) + 0.5) * unit]
+        preds = [rng.normal(size=300) * unit * width,
+                 (rng.normal(size=300) + 0.5) * unit * width]
         sigma = unit * unit
-        want, want_grads = dense_mmd2_value_grads(*preds, sigma)
+        want = dense_mmd2_value_grads(preds, sigma)[0]
         assert _context_mmd2(preds, sigma)[0] == pytest.approx(want, rel=1e-12)
-        value, grads = _context_mmd2(preds, sigma, want_grads=True)
-        assert value == pytest.approx(want, rel=1e-12)
-        for g, w in zip(grads, want_grads):
-            assert np.all(np.isfinite(g))
-            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+        blocks.clear()
+        assert_matches_dense_oracle(preds, sigma)
+        assert bool(blocks) == exact
 
     @pytest.mark.parametrize(
         "preds, sigma",
@@ -169,7 +178,7 @@ class TestContextMmd2:
             sigma = median_bandwidth(np.concatenate(preds))
             assert sigma == 4e-322
         floor = 2.0**-1000
-        want, want_grads = dense_mmd2_value_grads(*preds, floor)
+        want, want_grads = dense_mmd2_value_grads(preds, floor)
         assert mmd2(*preds, sigma) == pytest.approx(want, rel=1e-12, abs=1e-15)
         value, grads = _context_mmd2(preds, sigma, want_grads=True)
         assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -270,15 +279,13 @@ class TestContextMmd2:
             np.testing.assert_allclose(g, 0.0, rtol=0, atol=1e-12)
 
     @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.floats(0.1, 5.0))
-    @example(200, 1, 1.3)  # float64, two row chunks
-    @example(257, 2, 0.4)  # the smallest float32 gradient block
-    @example(800, 3, 1.1)  # float32, twenty row chunks
+    @example(200, 1, 1.3)  # one row chunk
+    @example(257, 2, 0.4)  # a last chunk of two rows
+    @example(800, 3, 1.1)  # ten row chunks
     @settings(max_examples=60, deadline=None)
     def test_self_block_matches_full_block(self, n, seed, sigma):
         # the strips of a self block give the mean and row sums of the whole
-        # block: 1e-12 in float64; a float32 gradient block (more than
-        # _FLOAT32_BLOCK entries) within the rounding bound of n float32
-        # additions of terms of magnitude (|p_k| + |p_l|) K[k, l]
+        # block, to 1e-12
         p = np.random.default_rng(seed).normal(scale=2.0, size=n)
         diff = p[:, None] - p[None, :]
         kern = np.exp(-(diff * diff) / sigma)
@@ -287,13 +294,79 @@ class TestContextMmd2:
         assert mean == pytest.approx(kern.mean(), abs=1e-12)
         _, rows, cols = _kernel_block(p, p, sigma, want_grads=True, symmetric=True)
         assert cols is None
-        full = (diff * kern).sum(axis=1)
-        if n * n > _FLOAT32_BLOCK:
-            scale = ((np.abs(p)[:, None] + np.abs(p)[None, :]) * kern).sum(axis=1)
-            tol = n * np.finfo(np.float32).eps * scale
-        else:
-            tol = 1e-12
-        assert np.all(np.abs(rows - full) <= tol)
+        assert np.all(np.abs(rows - (diff * kern).sum(axis=1)) <= 1e-12)
+
+
+class TestInterpolant:
+    @given(
+        st.lists(st.integers(1, 800), min_size=2, max_size=4),
+        st.floats(-6.0, 6.0),
+        st.floats(0.0, fair_train._SPAN_CAP + 0.5),
+        st.floats(0.0, 0.5),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([1, 1], 0.0, 0.0, 0.0, 0)  # one row per level, all equal: span 0
+    @example([800, 800, 800, 800], 6.0, 15.99, 0.5, 1)
+    @example([1, 800, 3], -6.0, 16.0, 0.0, 2)  # at the cap
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_oracle(self, sizes, log_sigma, span, ties, seed):
+        # predictions over `span` kernel widths sqrt(sigma) about a random
+        # centre, a share `ties` of them repeated; the gradient error in
+        # kernel units, |g - g*| P sqrt(sigma) n_i / (4 (L - 1)), is at most
+        # 1e-12. Relative to max |g*| would say nothing: far-apart levels make
+        # every cross entry underflow and |g*| as small as 1e-98.
+        rng = np.random.default_rng(seed)
+        sigma = 10.0**log_sigma
+        root = np.sqrt(sigma)
+        centre = rng.uniform(-1e3, 1e3) * root
+        preds = []
+        for n in sizes:
+            p = centre + rng.uniform(-span / 2, span / 2, size=n) * root
+            tied = rng.random(n) < ties
+            p[tied] = rng.choice(p, tied.sum())
+            preds.append(p)
+        assert_matches_dense_oracle(preds, sigma)
+
+    @pytest.mark.parametrize("span", [0.0, 3.0, 16.0])
+    def test_predictions_on_nodes(self, span):
+        # the context's nodes, rebuilt as _interpolated_mmd2 places them
+        # (sigma 1, centre 0), taken as predictions
+        nodes = fair_train._NODES_BASE + int(np.ceil(fair_train._NODES_PER_SPAN * span))
+        half = span / 2 + fair_train._NODE_MARGIN
+        t = half * np.cos(np.arange(nodes) * (np.pi / (nodes - 1)))
+        inner = t[np.abs(t) <= span / 2]
+        rng = np.random.default_rng(271)
+        low, high = np.array([-span / 2]), np.array([span / 2])
+        preds = [np.concatenate([low, inner, rng.uniform(-span / 2, span / 2, 50)]),
+                 np.concatenate([high, inner[::2]])]
+        assert_matches_dense_oracle(preds, 1.0)
+
+    def test_point_on_a_node_gets_its_unit_row(self):
+        # a point on a node, or one so close that 1 / (x - t) overflows, gets
+        # the unit row of that node; every other row sums to 1
+        t = np.cos(np.linspace(0.0, np.pi, 17))
+        t[8] = 0.0  # cos(pi / 2) rounds to 6e-17
+        weights = np.resize([1.0, -1.0], 17)
+        weights[[0, -1]] /= 2
+        x = np.array([t[0], t[5], 0.3, 0.0, -0.0, 1e-320, -t[9]])
+        ((rows, q, norm),) = _basis_chunks(x, t, weights, len(x), np.empty(len(x) * len(t)))
+        basis = q * weights / norm[:, None]
+        for k, node in ((0, 0), (1, 5), (3, 8), (4, 8), (5, 8)):
+            assert np.array_equal(basis[k], np.eye(len(t))[node])
+        np.testing.assert_allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+def assert_matches_dense_oracle(preds, sigma):
+    """``_context_mmd2`` with gradients against the whole-block oracle: the
+    value within 1e-12, each level's gradient within 1e-12 in kernel units."""
+    levels = len(preds)
+    pairs = levels * (levels - 1) // 2
+    want, want_grads = dense_mmd2_value_grads(preds, sigma)
+    value, grads = _context_mmd2(preds, sigma, want_grads=True)
+    assert abs(value - want) <= 1e-12
+    for g, w in zip(grads, want_grads):
+        units = pairs * np.sqrt(sigma) * len(w) / (4 * (levels - 1))
+        assert np.abs(g - w).max() * units <= 1e-12
 
 
 class TestGradients:

@@ -109,6 +109,8 @@ def test_from_arrays_rejects_what_init_rejects():
         Pdag.from_arrays(["A", "B"], z23, z23)
     with pytest.raises(GraphError, match="^mark matrices must be 2 x 2$"):
         Pdag.from_arrays(["A", "B"], np.zeros(2, dtype=bool), np.zeros(2, dtype=bool))
+    with pytest.raises(GraphError, match="^mark matrices must be 2 x 2$"):
+        Pdag.from_arrays(["A", "B"], [[False, True], [False]], z2)
     for marks in (np.zeros((2, 2)), np.zeros((2, 2), dtype=int), [[0, 1], [0, 0]]):
         with pytest.raises(GraphError, match="^mark matrices must be boolean$"):
             Pdag.from_arrays(["A", "B"], marks, z2)
