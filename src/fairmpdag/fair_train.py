@@ -11,32 +11,31 @@ time is the same MMD^2 average computed on ground-truth interventional data.
 Every objective works on one stacked row block (``_stack``): the
 observational rows first, then the rows of every (group, context) cell, one
 row slice per sensitive level. Training, validation and evaluation each make
-one forward pass over their block; the penalty turns each cell's prediction
-slices into a value and adds its gradient with respect to the predictions
-into one output gradient, and training then makes one backward pass.
+one forward pass over their block; the penalty turns each cell's adjacent
+level slices into a value and adds its gradient with respect to the
+predictions into one output gradient, and training then makes one backward
+pass.
 
 One kernel serves the training penalty, the validation pass, evaluation and
-``mmd2``: ``_context_mmd2`` takes the predictions for every level of one
-context. Without gradients (validation, evaluation, ``mmd2``) it is exact:
-it builds each self block K_ii and each cross block K_ij (i < j) once,
-L + L(L-1)/2 blocks for L levels instead of three per level pair, in
-cache-sized row chunks in one reused buffer, and a self block only from the
-diagonal on, from which symmetry gives the whole block's mean and row sums.
-A chunk's differences come exactly from the rank-2 product [a, 1] @ [1; -b].
+``mmd2``: ``_context_mmd2`` takes one context's pooled predictions. Their
+level-pair mean MMD^2 is one weighted kernel sum, so its value and gradient
+follow from weighted row moments, which two providers compute.
+``_exact_moments`` builds the kernel from the diagonal on in cache-sized row
+chunks, with exact differences from the rank-2 product [a, 1] @ [1; -b];
+without gradients (validation, evaluation, ``mmd2``) it sums the weighted
+strips alone.
 
-Precision: everything is float64. Training, which needs gradients, goes
-through one Chebyshev interpolant of the kernel per context
-(``_interpolated_mmd2``): the predictions are scalars, and over a span of s
-kernel widths sqrt(sigma) the Gaussian kernel is a rank-p product with
-p = 16 + ceil(6 s) to float64 rounding, so every block sum and every
-gradient sum costs O(L n p) instead of O(L^2 n^2). The gradients match
-whole-block float64 sums to 1e-12 in kernel units (the error times
-P sqrt(sigma) n_i / (4 (L - 1)), P the number of level pairs). A context
-wider than 16 widths, or with a NaN or infinite prediction, takes the exact
-blocks, whose gradient sums come from two thin products of each kernel
-chunk against moments centred at the mean prediction. The kernel raises a
-bandwidth below 2^-1000 to 2^-1000, so its scale and gradient coefficients
-stay finite at every positive bandwidth.
+Precision: everything is float64. Training, which needs gradients, takes
+the moments from one Chebyshev interpolant of the kernel per context
+(``_interpolated_moments``): the predictions are scalars, and over a span of
+s kernel widths sqrt(sigma) the Gaussian kernel is a rank-p product with
+p = 16 + ceil(6 s) to float64 rounding, so the moments cost O(L n p)
+instead of O(L^2 n^2). The gradients match whole-block float64 sums to
+1e-12 in kernel units (the error times P sqrt(sigma) n_i / (4 (L - 1)), P
+the number of level pairs). A context wider than 16 widths, or with a NaN or
+infinite prediction, takes the exact moments. The kernel raises a bandwidth
+below 2^-1000 to 2^-1000, so its scale and gradient coefficients stay
+finite at every positive bandwidth.
 
 The median-heuristic bandwidth (``median_bandwidth``) is selected by
 sorted-difference selection: the differences s[j] - s[i] (i < j) of the
@@ -53,7 +52,7 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 
 import numpy as np
 
@@ -89,7 +88,8 @@ class TrainConfig:
         _check("lr", lr, _is_finite(lr) and lr > 0, "a positive finite number")
         _check("momentum", momentum, _is_finite(momentum) and 0 <= momentum < 1, "in [0, 1)")
         ok = isinstance(grid, tuple) and grid and all(_is_finite(x) and x >= 0 for x in grid)
-        _check("lambda_grid", grid, ok, "a nonempty list of finite numbers >= 0")
+        ok = ok and len(set(grid)) == len(grid)  # 0 and 0.0 are one value
+        _check("lambda_grid", grid, ok, "a nonempty list of distinct finite numbers >= 0")
         ok = isinstance(seeds, tuple) and seeds and all(type(x) is int and x >= 0 for x in seeds)
         ok = ok and len(set(seeds)) == len(seeds)
         _check("seeds", seeds, ok, "a nonempty list of distinct nonnegative integers")
@@ -195,26 +195,26 @@ class FairPredictor:
 
 # -- MMD -----------------------------------------------------------------------
 
-# Kernel blocks are built in row chunks of about this many entries, in one
-# buffer that stays in cache instead of each block allocating several
-# block-sized temporaries.
+# The kernel is built in row chunks of about this many entries, in one buffer
+# that stays in cache instead of each context allocating several matrix-sized
+# temporaries.
 _CHUNK_ENTRIES = 65536
 # The kernel raises a smaller bandwidth to this floor. Below it, -1/sigma and
-# the gradient coefficients 4/(P sigma n_i n_j) overflow or come near it (at a
-# subnormal sigma -1/sigma is -inf, at the smallest normal one 4/sigma is
-# 2^1024); at it they are at most 2^1002. Kernel entries of predictions more
+# the gradient coefficient 4/sigma overflow or come near it (at a subnormal
+# sigma -1/sigma is -inf, at the smallest normal one 4/sigma is 2^1024); at
+# it they are at most 2^1002. Kernel entries of predictions more
 # than 8.3e-150 apart underflow to 0 at the floor as below it, so the floor
 # changes only entries of predictions closer than that.
 _MIN_BANDWIDTH = 2.0**-1000
 # A training context (``_context_mmd2`` with gradients) whose pooled
 # predictions span at most _SPAN_CAP kernel widths sqrt(sigma) goes through
-# one Chebyshev interpolant of the kernel (``_interpolated_mmd2``) with
+# one Chebyshev interpolant of the kernel (``_interpolated_moments``) with
 # _NODES_BASE + ceil(_NODES_PER_SPAN * span) nodes. The Chebyshev coefficients
 # of exp(-(x - y)^2) over a span s fall like exp(-k^2 / s^2), so k = 6 s
 # reaches the float64 rounding level; the 16 nodes on top cover small spans,
 # where that estimate is loose. At the cap that is 112 nodes. Training spans
 # run to about 13 widths at the median-heuristic bandwidth; a wider context
-# takes the exact blocks.
+# takes the exact moments.
 _SPAN_CAP = 16.0
 _NODES_BASE = 16
 _NODES_PER_SPAN = 6.0
@@ -223,181 +223,144 @@ _NODES_PER_SPAN = 6.0
 _NODE_MARGIN = 1.0 / 16
 
 
-def _kernel_block(pa, pb, sigma, want_grads, symmetric):
-    """Mean of the Gaussian kernel block K[k, l] = exp(-(pa[k] - pb[l])^2 / sigma).
-
-    With ``want_grads`` also returns the row sums of (pa[k] - pb[l]) K[k, l]
-    and, unless the block is a self block (``symmetric``, ``pb`` is ``pa``),
-    the column sums. The block is built in row chunks of about
-    ``_CHUNK_ENTRIES`` entries in one buffer reused for every chunk.
-    A chunk's differences are the matrix product [a, 1] @ [1; -b]: each entry
-    is a * 1 + 1 * (-b), one rounding, as ``np.subtract.outer``. They are
-    squared, scaled and exponentiated in place, and the block sum adds
-    ``k.sum()`` of every chunk.
-
-    The gradient sums come from two thin products against moments centred at
-    c = mean(pa), which keeps the cancellation small: a row's sum is
-    (a[k] - c) (K 1)[k] - (K (b - c))[k], from K @ [1, b - c], and a
-    column's sum is (K^T (a - c))[l] - (b[l] - c) (K^T 1)[l], from
-    [1; a - c] @ K carried across chunks.
-
-    A self block builds, for each chunk, only the columns from the chunk's
-    first row on: its square on the diagonal and the strip to its right,
-    about half the block. K is symmetric, so the block sum is twice the strip
-    sums less the diagonal squares, and a row's moments are its strip's row
-    moments plus the column moments of the strips above it. The diagonal
-    entries are built, so a NaN or infinite prediction still makes the mean
-    and its row NaN.
-    """
-    if want_grads:
-        shift = float(pa.mean())
-        ca = pa - shift
-        cb = ca if symmetric else pb - shift
-        right = np.ones((len(pb), 2))
-        right[:, 1] = cb
-        left = np.ones((2, len(pa)))
-        left[1] = ca
-        moments = np.zeros((2, len(pb)))
-        rows = np.empty(len(pa))
-    lead = np.ones((len(pa), 2))
-    lead[:, 0] = pa
-    trail = np.ones((2, len(pb)))
-    np.negative(pb, out=trail[1])
-    scale = -1.0 / sigma
-    step = min(len(pa), max(1, _CHUNK_ENTRIES // len(pb)))
-    buf = np.empty(step * len(pb))
-    total = 0.0
-    for start in range(0, len(pa), step):
-        stop = min(start + step, len(pa))
-        first = start if symmetric else 0
-        c, w = stop - start, len(pb) - first
-        k = buf[: c * w].reshape(c, w)
-        np.matmul(lead[start:stop], trail[:, first:], out=k)
-        np.multiply(k, k, out=k)
-        k *= scale
-        np.exp(k, out=k)
-        strip = float(k.sum())
-        total += 2.0 * strip - float(k[:, :c].sum()) if symmetric else strip
-        if want_grads:
-            m = k @ right[first:]
-            if symmetric:
-                m = m + moments[:, start:stop].T
-            rows[start:stop] = ca[start:stop] * m[:, 0] - m[:, 1]
-            # a self block's later rows need only the columns past the square
-            skip = c if symmetric else 0
-            moments[:, first + skip:] += left[:, start:stop] @ k[:, skip:]
-    mean = total / (len(pa) * len(pb))
-    if not want_grads:
-        return mean, None, None
-    if symmetric:
-        return mean, rows, None
-    return mean, rows, moments[1] - cb * moments[0]
-
-
-def _context_mmd2(preds, sigma, want_grads=False):
+def _context_mmd2(pooled, sizes, sigma, want_grads=False):
     """Mean MMD^2 over all level pairs of one context, and optionally its
-    gradient with respect to each level's predictions.
+    gradient with respect to the predictions.
 
-    With L levels and P = L(L-1)/2 pairs the value is
-    [(L-1) sum_i mean K_ii - 2 sum_{i<j} mean K_ij] / P. Returns
-    ``(value, grads)``; ``grads`` is None unless ``want_grads``. A bandwidth
-    below ``_MIN_BANDWIDTH`` (2^-1000) is raised to it, so finite predictions
-    give a finite value and finite gradients at any positive bandwidth.
+    ``pooled`` holds the predictions of every level one after another,
+    ``sizes`` the number of rows of each level. Returns ``(value, grad)``;
+    ``grad`` is None unless ``want_grads``. A bandwidth below
+    ``_MIN_BANDWIDTH`` (2^-1000) is raised to it, so finite predictions give
+    a finite value and finite gradients at any positive bandwidth.
 
-    The value-only path (validation, evaluation, ``mmd2``) builds each self
-    block K_ii and each cross block K_ij (i < j) once, exactly. With
-    ``want_grads`` (training) a context whose finite predictions span at most
-    ``_SPAN_CAP`` kernel widths sqrt(sigma) goes through one Chebyshev
-    interpolant of the kernel (``_interpolated_mmd2``); one with a wider span
-    or a NaN or infinite prediction takes the exact blocks, whose gradients
-    follow from the same blocks as the value.
+    With L levels and P = L(L-1)/2 pairs the mean is one weighted kernel sum
+    sum_{k,l} w[k, l] K[k, l], where w[k, l] is (L-1) / (P n_i^2) for rows k
+    and l of the same level i and -1 / (P n_i n_j) for rows of levels i and
+    j. From the weighted row moments m[k] = sum_l w[k, l] K[k, l] right[l],
+    right = [1, p - c] with c the middle of the pooled span, the value is
+    sum_k m[k, 0] and the gradient at row k is
+    -(4 / sigma) ((p_k - c) m[k, 0] - m[k, 1]).
+
+    The value-only path (validation, evaluation, ``mmd2``) is exact
+    (``_exact_moments``). With ``want_grads`` (training) a context whose
+    predictions span at most ``_SPAN_CAP`` kernel widths sqrt(sigma) takes
+    the moments from one Chebyshev interpolant of the kernel
+    (``_interpolated_moments``); one with a wider span or a NaN or infinite
+    prediction takes them exactly.
     """
     sigma = max(sigma, _MIN_BANDWIDTH)
-    if want_grads:
-        low = float(np.min([p.min() for p in preds]))
-        high = float(np.max([p.max() for p in preds]))
-        span = (high - low) / math.sqrt(sigma)
-        if span <= _SPAN_CAP:  # False for a NaN or infinite prediction
-            return _interpolated_mmd2(preds, sigma, low + (high - low) / 2, span)
-    levels = len(preds)
-    pairs = levels * (levels - 1) // 2
-    sizes = [len(p) for p in preds]
-    self_sum = cross_sum = 0.0
-    grads = [np.zeros(n) for n in sizes] if want_grads else None
-    for i in range(levels):
-        mean, rows, _ = _kernel_block(preds[i], preds[i], sigma, want_grads, True)
-        self_sum += mean
-        if want_grads:
-            grads[i] -= (4.0 * (levels - 1) / (pairs * sigma * sizes[i] ** 2)) * rows
-    for i, j in combinations(range(levels), 2):
-        mean, rows, cols = _kernel_block(preds[i], preds[j], sigma, want_grads, False)
-        cross_sum += mean
-        if want_grads:
-            scale = 4.0 / (pairs * sigma * sizes[i] * sizes[j])
-            grads[i] += scale * rows
-            grads[j] -= scale * cols
-    return ((levels - 1) * self_sum - 2.0 * cross_sum) / pairs, grads
+    levels = len(sizes)
+    n = np.asarray(sizes, dtype=float)
+    w = (levels * np.eye(levels) - 1.0) / (levels * (levels - 1) // 2 * np.outer(n, n))
+    if not want_grads:
+        return _exact_moments(pooled, sizes, w, sigma), None
+    low, high = float(pooled.min()), float(pooled.max())
+    span = (high - low) / math.sqrt(sigma)
+    right = np.ones((len(pooled), 2))
+    right[:, 1] = pooled - (low + (high - low) / 2)
+    if span <= _SPAN_CAP:  # False for a NaN or infinite prediction
+        m = _interpolated_moments(right, sizes, w, sigma, span)
+    else:
+        m = _exact_moments(pooled, sizes, w, sigma, right)
+    return float(m[:, 0].sum()), (-4.0 / sigma) * (right[:, 1] * m[:, 0] - m[:, 1])
 
 
-def _interpolated_mmd2(preds, sigma, centre, span):
-    """``_context_mmd2(preds, sigma, want_grads=True)`` through one Chebyshev
+def _exact_moments(pooled, sizes, w, sigma, right=None):
+    """The weighted row moments of ``_context_mmd2`` from the exact kernel,
+    or, without ``right``, the value sum_k m[k, 0] alone.
+
+    The pooled predictions are walked level by level in row chunks of about
+    ``_CHUNK_ENTRIES`` entries in one buffer reused for every chunk. A chunk
+    builds only the columns from its first row on, stored one column per
+    buffer row: its square on the diagonal, then the strip to its right, so
+    the columns of each level are one contiguous block. The differences are
+    the matrix product [p, 1] @ [1; -p] on the raw predictions: each entry
+    is p_l * 1 + 1 * (-p_k), one rounding, as ``np.subtract.outer``. They
+    are squared, scaled and exponentiated in place.
+
+    w K is symmetric, so the value is twice the strips right of the squares
+    plus the squares, each level's block summed on its own and weighted by
+    its w, and a value-only call builds no moments. Otherwise the chunk is
+    scaled by w; its rows get the moments (w K) @ right of their square and
+    strip, and the rows right of the square get the chunk's column moments
+    (w K)^T right, their entries left of the diagonal. The diagonal entries
+    are built, so a NaN or infinite prediction still makes the value and its
+    row NaN.
+    """
+    n = len(pooled)
+    lead = np.ones((n, 2))
+    lead[:, 0] = pooled
+    trail = np.ones((2, n))
+    np.negative(pooled, out=trail[1])
+    if right is not None:
+        moments = np.zeros((n, 2))
+        columns = np.repeat(w, sizes, axis=1)[:, :, None]  # columns[i, l] = w[i, level of l]
+    scale = -1.0 / sigma
+    buf = np.empty(min(n * n, max(n, _CHUNK_ENTRIES)))
+    bounds = list(accumulate(sizes))
+    value = 0.0
+    start = 0
+    for i, weights in enumerate(w.tolist()):
+        while start < bounds[i]:
+            stop = min(bounds[i], start + max(1, _CHUNK_ENTRIES // (n - start)))
+            c = stop - start
+            k = buf[: (n - start) * c].reshape(n - start, c)
+            np.matmul(lead[start:], trail[:, start:stop], out=k)
+            np.multiply(k, k, out=k)
+            k *= scale
+            np.exp(k, out=k)
+            if right is None:
+                cuts = [c] + [end - start for end in bounds[i:]]
+                value += weights[i] * float(k[:c].sum())
+                for weight, a, b in zip(weights[i:], cuts, cuts[1:]):
+                    value += 2.0 * weight * float(k[a:b].sum())
+            else:
+                k *= columns[i, start:]
+                moments[start:stop] += k.T @ right[start:]
+                moments[stop:] += k[c:] @ right[start:stop]
+            start = stop
+    return value if right is None else moments
+
+
+def _interpolated_moments(right, sizes, w, sigma, span):
+    """The weighted row moments of ``_context_mmd2`` through one Chebyshev
     interpolant of the kernel, in O(L n p) for L levels of n rows and p nodes.
 
-    On the scaled predictions x = (p - centre) / sqrt(sigma), which lie in
+    On the scaled predictions x = (p - c) / sqrt(sigma), which lie in
     [-span/2, span/2], the kernel is exp(-(x - y)^2). Put p Chebyshev points
     t on the interval widened by ``_NODE_MARGIN`` and let b(x) be the
     barycentric Lagrange basis at them (Berrut & Trefethen, SIAM Review
     2004): exp(-(x - y)^2) ~ b(x)^T T b(y), T[a, c] = exp(-(t_a - t_c)^2).
-    Stack level i's basis rows in B_i and take its moments
-    M_i = B_i^T [1, x_i] (p x 2). Then the kernel sum of block (i, j) is
-    M_i0^T T M_j0, and the row sums of (x_k - y_l) K[k, l] are x u0 - u1
-    with u = B_i T M_j. Level i's gradient is a weighted sum of such rows
-    over j (self block included), so it is (x_i u0 - u1) / sqrt(sigma) with
-    u = B_i T W_i, W_i = sum_j w_ij M_j, w_ii = -4(L-1) / (P n_i^2) and
-    w_ij = 4 / (P n_i n_j): one product per level.
+    Stack level j's basis rows in B_j and take its moments
+    M_j = B_j^T right_j (p x 2). Then the moments of a row k of level i are
+    b(x_k)^T T W_i with W_i = sum_j w[i, j] M_j: one product per level.
 
-    The basis is built twice, for the moments and for the gradients, in row
-    chunks of about ``_CHUNK_ENTRIES`` entries in one buffer
-    (``_basis_chunks``), so the working set is that of one kernel block
-    chunk.
+    The basis is built twice, for M and for the row moments, in row chunks
+    of about ``_CHUNK_ENTRIES`` entries in one buffer (``_basis_chunks``), so
+    the working set is that of one exact kernel chunk.
     """
-    levels = len(preds)
-    pairs = levels * (levels - 1) // 2
-    root = math.sqrt(sigma)
     nodes = _NODES_BASE + math.ceil(_NODES_PER_SPAN * span)
     t = (span / 2 + _NODE_MARGIN) * np.cos(np.arange(nodes) * (np.pi / (nodes - 1)))
     weights = np.ones(nodes)
     weights[1::2] = -1.0
     weights[[0, -1]] /= 2
-    xs = [(p - centre) / root for p in preds]
+    cuts = np.cumsum(sizes)[:-1]
+    xs = np.split(right[:, 1] / math.sqrt(sigma), cuts)
     step = max(1, _CHUNK_ENTRIES // nodes)
-    buf = np.empty(min(step, max(len(x) for x in xs)) * nodes)
-    moments = np.zeros((levels, nodes, 2))
-    for m, x in zip(moments, xs):
+    buf = np.empty(min(step, max(sizes)) * nodes)
+    basis_moments = np.zeros((len(sizes), nodes, 2))
+    for x, level, m in zip(xs, np.split(right, cuts), basis_moments):
         for rows, q, norm in _basis_chunks(x, t, weights, step, buf):
-            scaled = np.empty((len(norm), 2))
-            np.divide(1.0, norm, out=scaled[:, 0])
-            np.multiply(x[rows], scaled[:, 0], out=scaled[:, 1])
-            m += q.T @ scaled
-    moments *= weights[:, None]
+            m += q.T @ (level[rows] / norm[:, None])
+    basis_moments *= weights[:, None]
     kern = np.exp(-np.square(np.subtract.outer(t, t)))
-    inv = 1.0 / np.array([len(x) for x in xs], dtype=float)
-    m0 = moments[:, :, 0]
-    means = (m0 @ kern @ m0.T) * np.outer(inv, inv)  # mean K_ij
-    self_sum = np.trace(means)
-    value = ((levels - 1) * self_sum - (means.sum() - self_sum)) / pairs
-    coef = (4.0 / pairs) * np.outer(inv, inv)
-    coef[np.diag_indices(levels)] *= -(levels - 1)
-    mixed = (coef @ moments.reshape(levels, -1)).reshape(moments.shape)  # W_i
+    mixed = (w @ basis_moments.reshape(len(sizes), -1)).reshape(basis_moments.shape)
     products = (kern @ mixed) * weights[:, None]
-    grads = []
-    for x, product in zip(xs, products):
-        g = np.empty(len(x))
+    moments = np.empty_like(right)
+    for x, out, product in zip(xs, np.split(moments, cuts), products):
         for rows, q, norm in _basis_chunks(x, t, weights, step, buf):
-            u = q @ product
-            g[rows] = (x[rows] * u[:, 0] - u[:, 1]) / (norm * root)
-        grads.append(g)
-    return float(value), grads
+            out[rows] = (q @ product) / norm[:, None]
+    return moments
 
 
 def _basis_chunks(x, t, weights, step, buf):
@@ -406,7 +369,7 @@ def _basis_chunks(x, t, weights, step, buf):
 
     Yields ``(rows, q, norm)``: row k of the basis is
     q[k] * weights / norm[k], where q = 1 / (x - t) comes from the exact
-    differences [x, 1] @ [1; -t] (one rounding each, as in ``_kernel_block``)
+    differences [x, 1] @ [1; -t] (one rounding each, as in ``_exact_moments``)
     and norm = q @ weights. A point on a node, whose difference is 0 or so
     small that its reciprocal overflows, gets that node's unit row instead of
     inf / inf.
@@ -440,7 +403,7 @@ def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: str | float) -> fl
     pb = np.asarray(yb, dtype=float).ravel()
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("samples must be nonempty")
-    return _mmd2_discrepancy([pa, pb], False, bandwidth)[0]
+    return _mmd2_discrepancy(np.concatenate([pa, pb]), [len(pa), len(pb)], False, bandwidth)[0]
 
 
 _BANDWIDTH_SAMPLE = 512
@@ -641,47 +604,51 @@ def _stack(x, sets, features, tag):
     return np.concatenate(blocks), cells
 
 
-def _mmd2_discrepancy(preds, want_grads, bandwidth_mode):
+def _mmd2_discrepancy(pooled, sizes, want_grads, bandwidth_mode):
     """Mean MMD^2 over the level pairs of one context, bandwidth from the
     pooled predictions in ``"median"`` mode."""
     if bandwidth_mode == "median":
-        sigma = median_bandwidth(np.concatenate(preds))
+        sigma = median_bandwidth(pooled)
     else:
         sigma = float(bandwidth_mode)
-    return _context_mmd2(preds, sigma, want_grads)
+    return _context_mmd2(pooled, sizes, sigma, want_grads)
 
 
-def _mean_diff_discrepancy(preds, want_grads):
+def _mean_diff_discrepancy(pooled, sizes, want_grads):
     """Mean |difference of level means| over the level pairs of one context;
     the penalty used in the binary-outcome mode."""
-    pairs = list(combinations(range(len(preds)), 2))
+    cuts = np.cumsum(sizes)[:-1]
+    means = [float(p.mean()) for p in np.split(pooled, cuts)]
+    pairs = list(combinations(range(len(sizes)), 2))
     total = 0.0
-    grads = [np.zeros_like(p) for p in preds] if want_grads else None
+    grad = np.zeros(len(pooled))
+    grads = np.split(grad, cuts)  # views into grad
     for i, j in pairs:
-        delta = preds[i].mean() - preds[j].mean()
+        delta = means[i] - means[j]
         total += abs(delta)
-        if want_grads:
-            sign = np.sign(delta) / len(pairs)
-            grads[i] += sign / len(preds[i])
-            grads[j] -= sign / len(preds[j])
-    return total / len(pairs), grads
+        sign = np.sign(delta) / len(pairs)
+        grads[i] += sign / sizes[i]
+        grads[j] -= sign / sizes[j]
+    return total / len(pairs), grad if want_grads else None
 
 
 def _penalty(out, cells, discrepancy, dout):
-    """Mean over cells of ``discrepancy`` on each cell's level slices of the
-    predictions ``out``.
+    """Mean over cells of ``discrepancy`` on each cell's predictions ``out``.
 
-    ``discrepancy(preds, want_grads)`` returns the cell's value and, on
-    request, its gradient with respect to each level's predictions. Unless
-    ``dout`` is None, the gradient of the mean is added into its rows.
+    A cell's level slices are adjacent, so ``discrepancy(pooled, sizes,
+    want_grads)`` gets one view of the cell's rows and the level sizes, and
+    returns the cell's value and, on request, its gradient with respect to
+    those rows. Unless ``dout`` is None, the gradient of the mean is added
+    into its rows.
     """
     total = 0.0
     for slices in cells:
-        value, dpreds = discrepancy([out[s] for s in slices], dout is not None)
+        rows = slice(slices[0].start, slices[-1].stop)
+        sizes = [s.stop - s.start for s in slices]
+        value, grad = discrepancy(out[rows], sizes, dout is not None)
         total += value / len(cells)
         if dout is not None:
-            for s, g in zip(slices, dpreds):
-                dout[s] += g / len(cells)
+            dout[rows] += grad / len(cells)
     return total
 
 

@@ -92,6 +92,11 @@ class ExperimentConfig:
         settings = self.graph_settings
         ok = isinstance(settings, tuple) and settings
         _check("graph_settings", settings, ok, "a nonempty list")
+        # the label names a setting's rows, dumps and cpdag_dir files
+        labels = [s.label for s in settings]
+        for i, label in enumerate(labels):
+            if (first := labels.index(label)) < i:
+                raise ValueError(f"graph_settings[{i}]: same d and s as graph_settings[{first}]")
         _check_int("seed", self.seed, 0)
         # smaller samples leave a split empty: 8:1:1 observational, 8:2 generated
         _check_int("sample_n", self.sample_n, 10)

@@ -26,9 +26,9 @@ from fairmpdag import fair_train
 from fairmpdag.fair_train import (
     _basis_chunks,
     _context_mmd2,
+    _exact_moments,
     _gap_rank,
     _init_params,
-    _kernel_block,
     _objective_and_grads,
     _stack,
 )
@@ -59,10 +59,16 @@ class TestMmd2:
                 naive_mmd2(ya, yb, sigma), abs=1e-10
             )
 
-    def test_symmetry_exact(self):
-        rng = np.random.default_rng(223)
-        ya, yb = rng.normal(size=17), rng.normal(size=23)
-        assert mmd2(ya, yb, 1.3) == mmd2(yb, ya, 1.3)
+    @given(st.integers(1, 399), st.integers(1, 399), st.floats(0.2, 3.0),
+           st.integers(0, 2**32 - 1))
+    @example(17, 23, 1.3, 223)
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_to_rounding(self, na, nb, sigma, seed):
+        # mmd2(a, b) and mmd2(b, a) add the same kernel entries in another
+        # order, so they agree to rounding, not bit for bit
+        rng = np.random.default_rng(seed)
+        ya, yb = rng.normal(size=na), rng.normal(size=nb)
+        assert abs(mmd2(ya, yb, sigma) - mmd2(yb, ya, sigma)) <= 1e-15
 
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=12),
@@ -102,7 +108,7 @@ class TestContextMmd2:
         sigma = 1.1
         pairs = list(combinations(range(len(preds)), 2))
         want = sum(naive_mmd2(preds[i], preds[j], sigma) for i, j in pairs) / len(pairs)
-        value, grads = _context_mmd2(preds, sigma, want_grads=True)
+        value, grads = context_mmd2(preds, sigma, want_grads=True)
         assert value == pytest.approx(want, abs=1e-12)
         assert [len(g) for g in grads] == list(sizes)
 
@@ -110,33 +116,48 @@ class TestContextMmd2:
     def test_value_only_path_matches_gradient_path(self, sizes):
         rng = np.random.default_rng(239)
         preds = [rng.normal(size=n) for n in sizes]
-        value, grads = _context_mmd2(preds, 0.7)
+        value, grads = context_mmd2(preds, 0.7)
         assert grads is None
         # exact blocks against the interpolant: kernel means are at most 1,
         # and the interpolant is exact to float64 rounding
-        assert _context_mmd2(preds, 0.7, want_grads=True)[0] == pytest.approx(value, abs=1e-14)
+        assert context_mmd2(preds, 0.7, want_grads=True)[0] == pytest.approx(value, abs=1e-14)
 
-    @pytest.mark.parametrize("offset", [0.0, 50.0])
-    @pytest.mark.parametrize("chunk", [5000, 1 << 20])
-    def test_gradient_sums_within_rounding_bound(self, offset, chunk, monkeypatch):
-        # 300 x 400 entries: an exact cross block, in several row chunks or in
-        # one; its row and column sums against the sums of (p_k - p_l) K[k, l],
-        # within n float64 roundings of terms of magnitude
-        # (|p_k - c| + |p_l - c|) K[k, l], c the mean of pa
-        monkeypatch.setattr(fair_train, "_CHUNK_ENTRIES", chunk)
-        rng = np.random.default_rng(241)
-        pa = rng.normal(size=300) + offset
-        pb = rng.normal(size=400) + offset + 0.2
-        sigma = 1.3
-        diff = pa[:, None] - pb[None, :]
-        kern = np.exp(-(diff * diff) / sigma)
-        prod = diff * kern
-        c = pa.mean()
-        terms = (np.abs(pa - c)[:, None] + np.abs(pb - c)[None, :]) * kern
-        eps = np.finfo(float).eps
-        _, rows, cols = _kernel_block(pa, pb, sigma, want_grads=True, symmetric=False)
-        assert np.all(np.abs(rows - prod.sum(axis=1)) <= len(pb) * eps * terms.sum(axis=1))
-        assert np.all(np.abs(cols - prod.sum(axis=0)) <= len(pa) * eps * terms.sum(axis=0))
+    @given(
+        st.lists(st.integers(1, 120), min_size=2, max_size=4),
+        st.sampled_from([64, 5000]),
+        st.sampled_from([0.0, 50.0]),
+        st.floats(0.1, 5.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([1, 1], 64, 0.0, 1.3, 0)  # one-row levels
+    @example([1, 120, 1, 37], 5000, 50.0, 0.4, 1)  # chunks ending inside levels
+    @example([300, 400], 5000, 50.0, 1.3, 241)
+    @example([400, 400], 65536, 0.0, 1.1, 3)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_moments_within_rounding_bound(self, sizes, chunk, offset, sigma, seed):
+        # the strips of the pooled predictions, in row chunks of mostly one
+        # row (64 entries) or of several rows that end inside a level (5000),
+        # give the weighted row moments (w o K) @ [1, p - c] of the whole
+        # matrix within N float64 roundings of the terms |w K| [1, |p - c|],
+        # and its weighted sum to 1e-12
+        rng = np.random.default_rng(seed)
+        pooled = rng.normal(scale=2.0, size=sum(sizes)) + offset
+        centre = float(pooled.min() + pooled.max()) / 2
+        levels = len(sizes)
+        level_of = np.repeat(np.arange(levels), sizes)
+        w = np.where(np.eye(levels, dtype=bool), levels - 1.0, -1.0)
+        w /= levels * (levels - 1) // 2 * np.outer(sizes, sizes)
+        diff = pooled[:, None] - pooled[None, :]
+        weighted = w[level_of][:, level_of] * np.exp(-(diff * diff) / sigma)
+        right = np.column_stack([np.ones(len(pooled)), pooled - centre])
+        bound = len(pooled) * np.finfo(float).eps * (np.abs(weighted) @ np.abs(right))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fair_train, "_CHUNK_ENTRIES", chunk)
+            value = _exact_moments(pooled, sizes, w, sigma)
+            moments = _exact_moments(pooled, sizes, w, sigma, right)
+        assert type(value) is float
+        assert value == pytest.approx(weighted.sum(), abs=1e-12)
+        assert np.all(np.abs(moments - weighted @ right) <= bound)
 
     @pytest.mark.parametrize("unit, width, exact", [(1e39, 1.0, False), (1e-25, 1.0, False),
                                                     (1.0, 6.0, True)])
@@ -146,18 +167,18 @@ class TestContextMmd2:
         # 1e39 predictions (past the float32 range) and a bandwidth of 1e-50
         # span about 7 kernel widths sqrt(sigma) and go through the
         # interpolant; six times as wide is past _SPAN_CAP and takes the
-        # exact blocks
+        # exact moments
         blocks = []
-        kernel_block = fair_train._kernel_block
+        exact_moments = fair_train._exact_moments
         monkeypatch.setattr(
-            fair_train, "_kernel_block", lambda *a: blocks.append(a) or kernel_block(*a)
+            fair_train, "_exact_moments", lambda *a: blocks.append(a) or exact_moments(*a)
         )
         rng = np.random.default_rng(263)
         preds = [rng.normal(size=300) * unit * width,
                  (rng.normal(size=300) + 0.5) * unit * width]
         sigma = unit * unit
         want = dense_mmd2_value_grads(preds, sigma)[0]
-        assert _context_mmd2(preds, sigma)[0] == pytest.approx(want, rel=1e-12)
+        assert context_mmd2(preds, sigma)[0] == pytest.approx(want, rel=1e-12)
         blocks.clear()
         assert_matches_dense_oracle(preds, sigma)
         assert bool(blocks) == exact
@@ -180,18 +201,18 @@ class TestContextMmd2:
         floor = 2.0**-1000
         want, want_grads = dense_mmd2_value_grads(preds, floor)
         assert mmd2(*preds, sigma) == pytest.approx(want, rel=1e-12, abs=1e-15)
-        value, grads = _context_mmd2(preds, sigma, want_grads=True)
+        value, grads = context_mmd2(preds, sigma, want_grads=True)
         assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
         for g, w in zip(grads, want_grads):
             assert np.all(np.isfinite(g))
             np.testing.assert_allclose(g, w, rtol=1e-12)
-        at_floor = _context_mmd2(preds, floor, want_grads=True)
+        at_floor = context_mmd2(preds, floor, want_grads=True)
         assert value == at_floor[0]
         assert all(np.array_equal(g, w) for g, w in zip(grads, at_floor[1]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rank_two_differences_equal_subtract_outer(self, dtype):
-        # _kernel_block forms a chunk's differences as [a, 1] @ [1; -b]: each
+        # _exact_moments forms a chunk's differences as [a, 1] @ [1; -b]: each
         # entry is a * 1 + 1 * (-b), rounded once, so it equals
         # np.subtract.outer bit for bit; only a zero may lose its sign, and
         # the kernel squares it. Magnitudes 1e-30 to 1e30, subnormals, signed
@@ -214,7 +235,7 @@ class TestContextMmd2:
             a, b = draw(m), draw(n)
             same = rng.random(min(m, n)) < 0.3  # equal pairs on the diagonal
             b[: min(m, n)][same] = a[: min(m, n)][same]
-            first = int(rng.integers(0, n))  # a self block's strip starts off column 0
+            first = int(rng.integers(0, n))  # a chunk's strip starts off column 0
             lead = np.ones((m, 2), dtype)
             lead[:, 0] = a
             trail = np.ones((2, n), dtype)
@@ -239,8 +260,8 @@ class TestContextMmd2:
         level = sizes.index(min(sizes))
         preds[level][0] = bad
         with np.errstate(invalid="ignore"):
-            assert not np.isfinite(_context_mmd2(preds, 0.9)[0])
-            value, grads = _context_mmd2(preds, 0.9, want_grads=True)
+            assert not np.isfinite(context_mmd2(preds, 0.9)[0])
+            value, grads = context_mmd2(preds, 0.9, want_grads=True)
         assert not np.isfinite(value)
         assert not np.isfinite(grads[level][0])
 
@@ -256,8 +277,8 @@ class TestContextMmd2:
         preds = [rng.normal(loc=rng.normal(), size=n) for n in sizes]
         order = list(range(len(preds)))
         shuffler.shuffle(order)
-        value, grads = _context_mmd2(preds, sigma, want_grads=True)
-        moved, moved_grads = _context_mmd2([preds[i] for i in order], sigma, want_grads=True)
+        value, grads = context_mmd2(preds, sigma, want_grads=True)
+        moved, moved_grads = context_mmd2([preds[i] for i in order], sigma, want_grads=True)
         assert moved == pytest.approx(value, abs=1e-12)
         for g, i in zip(moved_grads, order):
             np.testing.assert_allclose(g, grads[i], rtol=0, atol=1e-12)
@@ -272,29 +293,31 @@ class TestContextMmd2:
     def test_identical_levels_give_zero(self, n, levels, seed, sigma):
         sample = np.random.default_rng(seed).normal(size=n)
         preds = [sample.copy() for _ in range(levels)]
-        assert _context_mmd2(preds, sigma)[0] == pytest.approx(0.0, abs=1e-12)
-        value, grads = _context_mmd2(preds, sigma, want_grads=True)
+        assert context_mmd2(preds, sigma)[0] == pytest.approx(0.0, abs=1e-12)
+        value, grads = context_mmd2(preds, sigma, want_grads=True)
         assert value == pytest.approx(0.0, abs=1e-12)
         for g in grads:
             np.testing.assert_allclose(g, 0.0, rtol=0, atol=1e-12)
 
-    @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.floats(0.1, 5.0))
-    @example(200, 1, 1.3)  # one row chunk
-    @example(257, 2, 0.4)  # a last chunk of two rows
-    @example(800, 3, 1.1)  # ten row chunks
+    @given(
+        st.lists(st.integers(1, 300), min_size=2, max_size=4),
+        st.floats(17.0, 200.0),
+        st.floats(-1e6, 1e6),
+        st.floats(-6.0, 6.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([1, 1], 17.0, 1e6, 0.0, 0)
     @settings(max_examples=60, deadline=None)
-    def test_self_block_matches_full_block(self, n, seed, sigma):
-        # the strips of a self block give the mean and row sums of the whole
-        # block, to 1e-12
-        p = np.random.default_rng(seed).normal(scale=2.0, size=n)
-        diff = p[:, None] - p[None, :]
-        kern = np.exp(-(diff * diff) / sigma)
-        mean, rows, cols = _kernel_block(p, p, sigma, want_grads=False, symmetric=True)
-        assert rows is None and cols is None
-        assert mean == pytest.approx(kern.mean(), abs=1e-12)
-        _, rows, cols = _kernel_block(p, p, sigma, want_grads=True, symmetric=True)
-        assert cols is None
-        assert np.all(np.abs(rows - (diff * kern).sum(axis=1)) <= 1e-12)
+    def test_wide_span_matches_dense_oracle(self, sizes, span, offset, log_sigma, seed):
+        # past _SPAN_CAP the gradients come from the exact moments: spans of
+        # 17 to 200 kernel widths sqrt(sigma), up to 1e6 widths off 0; the
+        # lowest and highest predictions open the first and the last level
+        rng = np.random.default_rng(seed)
+        root = np.sqrt(10.0**log_sigma)
+        preds = [(offset + rng.uniform(-span / 2, span / 2, size=n)) * root for n in sizes]
+        preds[0][0] = (offset - span / 2) * root
+        preds[-1][0] = (offset + span / 2) * root
+        assert_matches_dense_oracle(preds, root * root)
 
 
 class TestInterpolant:
@@ -329,7 +352,7 @@ class TestInterpolant:
 
     @pytest.mark.parametrize("span", [0.0, 3.0, 16.0])
     def test_predictions_on_nodes(self, span):
-        # the context's nodes, rebuilt as _interpolated_mmd2 places them
+        # the context's nodes, rebuilt as _interpolated_moments places them
         # (sigma 1, centre 0), taken as predictions
         nodes = fair_train._NODES_BASE + int(np.ceil(fair_train._NODES_PER_SPAN * span))
         half = span / 2 + fair_train._NODE_MARGIN
@@ -356,13 +379,21 @@ class TestInterpolant:
         np.testing.assert_allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
+def context_mmd2(preds, sigma, want_grads=False):
+    """``_context_mmd2`` on one array of predictions per level, the gradient
+    split by level."""
+    sizes = [len(p) for p in preds]
+    value, grad = _context_mmd2(np.concatenate(preds), sizes, sigma, want_grads)
+    return value, grad if grad is None else np.split(grad, np.cumsum(sizes)[:-1])
+
+
 def assert_matches_dense_oracle(preds, sigma):
     """``_context_mmd2`` with gradients against the whole-block oracle: the
     value within 1e-12, each level's gradient within 1e-12 in kernel units."""
     levels = len(preds)
     pairs = levels * (levels - 1) // 2
     want, want_grads = dense_mmd2_value_grads(preds, sigma)
-    value, grads = _context_mmd2(preds, sigma, want_grads=True)
+    value, grads = context_mmd2(preds, sigma, want_grads=True)
     assert abs(value - want) <= 1e-12
     for g, w in zip(grads, want_grads):
         units = pairs * np.sqrt(sigma) * len(w) / (4 * (levels - 1))
@@ -379,7 +410,7 @@ class TestGradients:
         def pair_mean(ps):
             return sum(mmd2(ps[i], ps[j], sigma) for i, j in pairs) / len(pairs)
 
-        _, grads = _context_mmd2(preds, sigma, want_grads=True)
+        _, grads = context_mmd2(preds, sigma, want_grads=True)
         eps = 1e-6
         for level, p in enumerate(preds):
             for k in range(len(p)):

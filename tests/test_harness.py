@@ -188,6 +188,11 @@ BAD_CONFIGS = [
         "graph_settings[1]: unknown key 'edges'",
     ),
     ('{"graph_settings": [{"d": 4, "count": 1}]}', "graph_settings[0]: missing key 's'"),
+    (
+        config_json(graph_settings=[{"d": 5, "s": 5, "count": 1}, {"d": 6, "s": 5, "count": 1},
+                                    {"d": 5, "s": 5, "count": 1, "admissible_count": 1}]),
+        "config: graph_settings[2]: same d and s as graph_settings[0]",
+    ),
     ('{"graph_settings": [7]}', "graph_settings[0]: expected an object"),
     ('{"graph_settings": {"d": 4, "s": 3, "count": 1}}', "config: graph_settings must be a list"),
     (config_json(graph_settings=[]), "config: graph_settings must be"),
@@ -218,6 +223,8 @@ BAD_CONFIGS = [
     (config_json(train={"lambda_grid": [0, -1]}), "train: lambda_grid must be"),
     (config_json(train={"lambda_grid": [float("nan")]}), "train: lambda_grid must be"),
     (config_json(train={"lambda_grid": 5}), "train: lambda_grid must be"),
+    (config_json(train={"lambda_grid": [0.5, 0.5]}), "train: lambda_grid must be"),
+    (config_json(train={"lambda_grid": [0, 5, 0.0]}), "train: lambda_grid must be"),
     (config_json(train={"seeds": []}), "train: seeds must be"),
     (config_json(train={"binary_outcome": 0}), "train: binary_outcome must be"),
 ]
