@@ -25,7 +25,6 @@ from .density_gen import (
     BucketConditional,
     fit_bucket_conditionals,
     generate_interventional,
-    models_from_json,
     models_to_json,
 )
 from .fair_train import (

@@ -144,38 +144,46 @@ def identification_formula(
     )
 
 
-def enumerate_valid_orientations(g: Pdag, intervened: Iterable[str]) -> list[Pdag]:
+def enumerate_valid_orientations(
+    g: Pdag, intervened: Iterable[str], limit: int | None = None
+) -> list[Pdag]:
     """Candidate MPDAGs for a non-identifiable intervention.
 
-    Every orientation assignment of the undirected edges incident to the
-    intervened set is applied as background knowledge; assignments the
-    closure rejects (missing edge, reversal, or orientation conflict) are
-    dropped, and identical results are deduplicated preserving assignment
-    order. Each surviving graph is identifiable for the intervened set by
-    construction.
+    A depth-first search orients the undirected edges between the intervened
+    set and its complement one at a time, each step applying one orientation
+    as background knowledge to the closed graph of the step before. Closure
+    only adds marks, so a step the closure rejects (reversal or orientation
+    conflict) ends its branch, and every leaf is a candidate: identifiable
+    for the intervened set, and distinct from the other leaves, which orient
+    some crossing edge the other way. Edges are taken in sorted order from
+    the last, ``a -> b`` before ``b -> a``. The search stops once ``limit``
+    candidates are found; a graph with no candidate has no consistent
+    extension and raises :class:`GraphError`.
     """
     s = set(intervened)
     if is_identifiable(g, s):
         raise GraphError("intervention is already identifiable")
-    edges = sorted(
-        (a, b)
-        for a, b in g.undirected_edges
-        if (a in s) != (b in s)
-    )
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    edges = sorted((a, b) for a, b in g.undirected_edges if (a in s) != (b in s))
     out: list[Pdag] = []
-    seen: set[Pdag] = set()
-    for mask in range(2 ** len(edges)):
-        bk = tuple(
-            (a, b) if mask >> k & 1 == 0 else (b, a)
-            for k, (a, b) in enumerate(edges)
-        )
-        try:
-            candidate = construct_mpdag(g, bk)
-        except BackgroundKnowledgeConflict:
+    # (closed graph, edges left to orient, statement to apply first)
+    stack: list[tuple[Pdag, int, tuple[str, str] | None]] = [(g, len(edges), None)]
+    while stack and (limit is None or len(out) < limit):
+        graph, k, step = stack.pop()
+        if step is not None:
+            try:
+                graph = construct_mpdag(graph, [step])
+            except BackgroundKnowledgeConflict:
+                continue
+        if k == 0:
+            out.append(graph)
             continue
-        assert is_identifiable(candidate, s)
-        if candidate not in seen:
-            seen.add(candidate)
-            out.append(candidate)
-    assert out, "a valid MPDAG admits at least one consistent completion"
+        a, b = edges[k - 1]
+        stack += [(graph, k - 1, (b, a)), (graph, k - 1, (a, b))]
+    if not out:
+        raise GraphError(
+            f"do({','.join(g.sort_vertices(s))}): no orientation of the edges at the "
+            "intervened set is consistent; the graph has no consistent extension"
+        )
     return out

@@ -123,19 +123,3 @@ def models_to_json(models: Sequence[BucketConditional]) -> str:
         for m in models
     ]
     return json.dumps({"bucket_conditionals": payload}, indent=2)
-
-
-def models_from_json(text: str) -> list[BucketConditional]:
-    payload = json.loads(text)["bucket_conditionals"]
-    return [
-        BucketConditional(
-            bucket=tuple(item["bucket"]),
-            parents=tuple(item["parents"]),
-            coef=np.asarray(item["coef"], dtype=float).reshape(
-                len(item["bucket"]), len(item["parents"])
-            ),
-            intercept=np.asarray(item["intercept"], dtype=float),
-            residual_cov=np.asarray(item["residual_cov"], dtype=float),
-        )
-        for item in payload
-    ]

@@ -127,9 +127,6 @@ class Pdag:
     def has_directed(self, tail: str, head: str) -> bool:
         return bool(self._dir[self.index(tail), self.index(head)])
 
-    def has_undirected(self, a: str, b: str) -> bool:
-        return bool(self._und[self.index(a), self.index(b)])
-
     def adjacent(self, a: str, b: str) -> bool:
         return bool(self._adj[self.index(a), self.index(b)])
 
@@ -138,10 +135,6 @@ class Pdag:
 
     def children_of(self, v: str) -> tuple[str, ...]:
         return self._names_where(self._dir[self.index(v), :])
-
-    def siblings_of(self, v: str) -> tuple[str, ...]:
-        """Undirected neighbors of ``v``."""
-        return self._names_where(self._und[self.index(v), :])
 
     @property
     def directed_edges(self) -> tuple[tuple[str, str], ...]:

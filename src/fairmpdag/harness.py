@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .causal_ident import (
@@ -236,15 +236,10 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
     if is_identifiable(mpdag, intervened):
         candidates: tuple[Pdag, ...] = (mpdag,)
     else:
-        loose = sum(
-            1 for a, b in mpdag.undirected_edges if (a in intervened) != (b in intervened)
-        )
-        if 2**loose > 4 * cfg.max_candidates:
-            raise RuntimeError(f"{2**loose} orientation assignments exceed the candidate cap")
-        found = enumerate_valid_orientations(mpdag, intervened)
-        if len(found) > cfg.max_candidates:
-            raise RuntimeError(f"{len(found)} candidate graphs exceed the candidate cap")
-        candidates = tuple(found)
+        cap = cfg.max_candidates
+        candidates = tuple(enumerate_valid_orientations(mpdag, intervened, limit=cap + 1))
+        if len(candidates) > cap:
+            raise RuntimeError(f"more than {cap} candidate graphs exceed the candidate cap")
 
     levels = tuple(float(a) for a in range(scm.sensitive_levels))
     context = admissible_intervention_values(obs, admissible)
@@ -351,7 +346,10 @@ FAILURE_FIELDS = ("setting", "graph_id", "model", "lambda", "seed", "stage", "er
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
-    """Run the full sweep, writing tradeoff.csv, failures.csv, predictions/, models/."""
+    """Run the full sweep, writing tradeoff.csv, failures.csv, predictions/, models/.
+
+    eps-IFair at lambda 0 reuses the successful Full run of its graph and seed.
+    """
     out = Path(out_dir)
     (out / "predictions").mkdir(parents=True, exist_ok=True)
     (out / "models").mkdir(parents=True, exist_ok=True)
@@ -370,18 +368,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
             for group, models in enumerate(case.conditionals):
                 path = out / "models" / f"{setting.label}_g{graph_id}_conditionals_{group}.json"
                 path.write_text(models_to_json(models))
+            full_runs = {}  # seed -> (record, model) of the successful Full run
             for variant, lam in run_plan(cfg):
                 for seed in cfg.train.seeds:
                     run_seed = derive_seed(cfg.seed, 5, setting_idx, graph_id, seed)
                     tag = base | {"model": variant.value, "lambda": lam, "seed": seed}
                     try:
-                        record, model = run_case(cfg, case, variant, lam, run_seed)
+                        if variant is Variant.EPS_IFAIR and lam == 0 and seed in full_runs:
+                            # unpenalised on the same features and seed, it is
+                            # the Full predictor bit for bit
+                            record, full = full_runs[seed]
+                            model = replace(full, variant=variant, lam=lam)
+                        else:
+                            record, model = run_case(cfg, case, variant, lam, run_seed)
                     except NonFiniteMetricError as exc:
                         failures.append(tag | {"stage": "eval", "error": str(exc)})
                         continue
                     except Exception as exc:  # noqa: BLE001
                         failures.append(tag | {"stage": "train", "error": str(exc)})
                         continue
+                    if variant is Variant.FULL:
+                        full_runs[seed] = record, model
                     rows.append(tag | {"rmse": repr(record.rmse), "mmd2": repr(record.mmd2)})
                     run_name = f"{setting.label}_g{graph_id}_{variant.value}_lam{lam}_s{seed}"
                     _dump_predictions(out / "predictions" / f"{run_name}.csv", case, model)

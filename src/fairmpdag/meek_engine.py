@@ -42,13 +42,15 @@ def _fires_r1(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray
     # a -> b, b - c, a and c nonadjacent  =>  b -> c
     n = adj.shape[0]
     nonadj = ~adj & ~np.eye(n, dtype=bool)
-    counts = dmat.T.astype(np.uint8) @ nonadj.astype(np.uint8)
+    # witness counts in float64: exact up to 2**53, where uint8 wraps at 256
+    counts = dmat.T.astype(float) @ nonadj.astype(float)
     return umat & (counts > 0)
 
 
 def _fires_r2(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
     # a -> c -> b with a - b  =>  a -> b
-    two_step = (dmat.astype(np.uint8) @ dmat.astype(np.uint8)) > 0
+    step = dmat.astype(float)
+    two_step = (step @ step) > 0
     return umat & two_step
 
 

@@ -11,11 +11,14 @@ from collections import deque
 import numpy as np
 
 from fairmpdag import (
+    BackgroundKnowledgeConflict,
     DirectedCycleError,
     GraphError,
     Pdag,
     child_rng,
+    construct_mpdag,
     cpdag_from_dag,
+    is_identifiable,
     median_bandwidth,
     random_er_dag,
     unshielded_colliders,
@@ -133,6 +136,11 @@ def class_members_vectorized(dag: Pdag) -> list[Pdag]:
     ]
 
 
+def siblings(g: Pdag, v: str) -> set[str]:
+    """Undirected neighbours of ``v``."""
+    return {g.names[j] for j in np.flatnonzero(g.undirected_mask[g.index(v)])}
+
+
 def descendants(d: Pdag, s: str) -> set[str]:
     out = {s}
     stack = [s]
@@ -155,14 +163,14 @@ def chordless_possibly_causal_first_steps(g: Pdag, s: str, t: str) -> set[str]:
         if tail == t:
             found.add(path[1])
             return
-        for nxt in set(g.children_of(tail)) | set(g.siblings_of(tail)):
+        for nxt in set(g.children_of(tail)) | siblings(g, tail):
             if nxt in path:
                 continue
             if any(g.adjacent(nxt, p) for p in path[:-1]):
                 continue  # chord against an earlier path vertex
             extend(path + [nxt])
 
-    for first in set(g.children_of(s)) | set(g.siblings_of(s)):
+    for first in set(g.children_of(s)) | siblings(g, s):
         extend([s, first])
     return found
 
@@ -175,7 +183,7 @@ def exists_start_undirected_path(g: Pdag, src, dst) -> bool:
         tail = path[-1]
         if tail in dst:
             return True
-        for nxt in set(g.children_of(tail)) | set(g.siblings_of(tail)):
+        for nxt in set(g.children_of(tail)) | siblings(g, tail):
             if nxt in path or nxt in src:
                 continue
             if extend(path + [nxt]):
@@ -183,7 +191,7 @@ def exists_start_undirected_path(g: Pdag, src, dst) -> bool:
         return False
 
     for s in src:
-        for first in g.siblings_of(s):
+        for first in siblings(g, s):
             if first in src:
                 continue
             if extend([s, first]):
@@ -265,6 +273,37 @@ def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
             descend(d2, u2)
 
     descend(g.directed_mask.copy(), g.undirected_mask.copy())
+    return out
+
+
+def brute_force_orientations(g: Pdag, intervened) -> list[Pdag]:
+    """Candidate MPDAGs by closing every orientation assignment of the
+    undirected edges at the intervened set, in mask order, and dropping the
+    assignments the closure rejects and repeated results."""
+    s = set(intervened)
+    if is_identifiable(g, s):
+        raise GraphError("intervention is already identifiable")
+    edges = sorted(
+        (a, b)
+        for a, b in g.undirected_edges
+        if (a in s) != (b in s)
+    )
+    out: list[Pdag] = []
+    seen: set[Pdag] = set()
+    for mask in range(2 ** len(edges)):
+        bk = tuple(
+            (a, b) if mask >> k & 1 == 0 else (b, a)
+            for k, (a, b) in enumerate(edges)
+        )
+        try:
+            candidate = construct_mpdag(g, bk)
+        except BackgroundKnowledgeConflict:
+            continue
+        assert is_identifiable(candidate, s)
+        if candidate not in seen:
+            seen.add(candidate)
+            out.append(candidate)
+    assert out, "a valid MPDAG admits at least one consistent completion"
     return out
 
 
@@ -454,8 +493,6 @@ def random_mpdag(rng: np.random.Generator, max_n: int = 8):
     for a, b in cpdag.undirected_edges:
         if rng.random() < 0.4:
             bk.append((a, b) if dag.has_directed(a, b) else (b, a))
-    from fairmpdag import construct_mpdag
-
     return dag, cpdag, construct_mpdag(cpdag, bk)
 
 

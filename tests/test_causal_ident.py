@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from fairmpdag import (
     Pdag,
     augment_with_prediction,
     bucket_decomposition,
+    causal_ident,
     enumerate_valid_orientations,
     identification_formula,
     is_identifiable,
@@ -19,6 +22,7 @@ from fairmpdag import (
 )
 
 from .oracles import (
+    brute_force_orientations,
     enumerate_dags_in_class,
     exists_proper_possibly_causal_path_starting_undirected,
     naive_extensions,
@@ -176,6 +180,42 @@ class TestEnumerateValidOrientations:
         undirected_left = sorted(len(c.undirected_edges) for c in got)
         assert undirected_left == [0, 0, 1, 1]
 
+    def test_star_of_sixteen_edges_has_seventeen_candidates(self):
+        # A -- B00..B15 with do(A): all edges out of A, or exactly one into
+        # A (a second would form an unshielded collider). Closing every one
+        # of the 2^16 assignments took about two minutes.
+        g = Pdag(["A"] + [f"B{i:02d}" for i in range(16)],
+                 undirected=[("A", f"B{i:02d}") for i in range(16)])
+        start = time.perf_counter()
+        got = enumerate_valid_orientations(g, ["A"])
+        assert time.perf_counter() - start < 10
+        assert len(got) == 17
+        into_a = sorted(len(c.parents_of("A")) for c in got)
+        assert into_a == [0] + [1] * 16
+
+    def test_limit_stops_the_search(self, monkeypatch):
+        g = Pdag(["A"] + [f"B{i}" for i in range(6)],
+                 undirected=[("A", f"B{i}") for i in range(6)])
+        full = enumerate_valid_orientations(g, ["A"])
+        steps = []
+        construct = causal_ident.construct_mpdag
+        monkeypatch.setattr(
+            causal_ident, "construct_mpdag", lambda *a: steps.append(a) or construct(*a)
+        )
+        assert enumerate_valid_orientations(g, ["A"], limit=2) == full[:2]
+        limited = len(steps)
+        steps.clear()
+        enumerate_valid_orientations(g, ["A"])
+        assert limited < len(steps)
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_valid_orientations(g, ["A"], limit=0)
+
+    def test_no_consistent_extension_raises(self):
+        # the chordless 4-cycle has no DAG in its class
+        g = parse_graph("A -- B\nB -- C\nC -- D\nD -- A")
+        with pytest.raises(GraphError, match=r"do\(A\): no orientation"):
+            enumerate_valid_orientations(g, ["A"])
+
     def test_candidate_classes_partition_the_class(self):
         # every member DAG of g belongs to exactly one candidate's class
         rng = np.random.default_rng(41)
@@ -189,7 +229,9 @@ class TestEnumerateValidOrientations:
             members = {d for d in naive_extensions(g)}
             covered = []
             for c in candidates:
-                covered.extend(naive_extensions(c))
+                members_of_c = naive_extensions(c)
+                assert members_of_c, "a candidate with no member DAG"
+                covered.extend(members_of_c)
             assert len(covered) == len(set(covered)), "candidate classes overlap"
             assert set(covered) == members
             checked += 1
@@ -244,13 +286,15 @@ class TestIdentificationUniqueness:
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_candidates_are_closed_and_identifying(seed, size):
     rng = np.random.default_rng(seed)
     _, _, g = random_mpdag(rng, max_n=7)
     intervened = [g.names[int(i)] for i in rng.choice(g.n, size=size, replace=False)]
     assume(not is_identifiable(g, intervened))
     candidates = enumerate_valid_orientations(g, intervened)
+    # the search visits the assignments in the brute force's mask order
+    assert candidates == brute_force_orientations(g, intervened)
     assert candidates and len(set(candidates)) == len(candidates)
     for c in candidates:
         assert meek_closure(c) == c

@@ -62,6 +62,21 @@ def test_identify_unidentifiable_counts(tmp_path, capsys):
     assert "not identifiable: 2 candidate MPDAGs" in capsys.readouterr().out
 
 
+def test_identify_without_consistent_extension_exits_with_one_line(tmp_path):
+    # the chordless 4-cycle has no DAG in its class, so no candidate exists
+    g = tmp_path / "cycle.graph"
+    g.write_text("A -- B\nB -- C\nC -- D\nD -- A\n")
+    src = str(Path(fairmpdag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "fairmpdag.cli", "identify", str(g), "--do", "A"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("do(A): ") and done.stderr.count("\n") == 1
+
+
 def test_relations_output(demo_files, capsys):
     dag, bk, _ = demo_files
     cpdag_path = dag.parent / "cpdag.graph"

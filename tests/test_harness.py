@@ -17,6 +17,7 @@ from fairmpdag.harness import (
     run_experiment,
     run_plan,
 )
+from fairmpdag.scm_lab import derive_seed
 
 from .conftest import train_from_json
 
@@ -160,6 +161,13 @@ class TestUnidentifiableMode:
         rec, model = run_case(cfg, case, Variant.EPS_IFAIR, 5.0, 0)
         assert np.isfinite(rec.rmse) and rec.mmd2 >= -1e-9
 
+
+    def test_max_candidates_is_the_one_cap(self):
+        at_cap = small_config(unidentifiable_mode=True, seed=2, max_candidates=2)
+        assert len(build_case(at_cap, 0, 0).candidates) == 2
+        below = small_config(unidentifiable_mode=True, seed=2, max_candidates=1)
+        with pytest.raises(RuntimeError, match="more than 1 candidate graphs exceed the candidate cap"):
+            build_case(below, 0, 0)
 
 def config_json(train=None, setting=None, **top) -> str:
     """Config text with one small graph setting, changed by the arguments."""
@@ -347,6 +355,63 @@ class TestRunExperiment:
         with open(tmp_path / "failures.csv", newline="") as fh:
             assert [r["stage"] for r in csv.DictReader(fh)] == ["eval"]
         assert not list((tmp_path / "predictions").glob("*lam5.0*"))
+
+    def test_eps_ifair_at_zero_reuses_the_full_run(self, tmp_path, monkeypatch):
+        # unpenalised, eps-IFair is the Full predictor: one training fewer per
+        # graph and seed, and the same row, dump and model file as training it
+        calls = []
+        train = harness.train_predictor
+
+        def counted(variant, lam, *args, **kwargs):
+            calls.append((variant, lam))
+            return train(variant, lam, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_predictor", counted)
+        cfg = small_config(
+            train=TrainConfig(epochs=30, patience=15, lambda_grid=(0, 5.0), seeds=(0, 1))
+        )
+        result = run_experiment(cfg, tmp_path / "out")
+        assert not result.failures
+        graphs_and_seeds = cfg.graph_settings[0].count * len(cfg.train.seeds)
+        assert len(calls) == graphs_and_seeds * (len(run_plan(cfg)) - 1)
+        assert (Variant.EPS_IFAIR, 0) not in calls
+        monkeypatch.setattr(harness, "train_predictor", train)
+        for gid in range(cfg.graph_settings[0].count):
+            case = build_case(cfg, 0, gid)
+            for seed in cfg.train.seeds:
+                run_seed = derive_seed(cfg.seed, 5, 0, gid, seed)
+                record, model = run_case(cfg, case, Variant.EPS_IFAIR, 0, run_seed)
+                name = f"5nodes6edges_g{gid}_eps_ifair_lam0_s{seed}"
+                written = (tmp_path / "out" / "models" / f"{name}.json").read_text()
+                assert written == model.to_json()
+                _dump_predictions(tmp_path / "trained.csv", case, model)
+                dump = tmp_path / "out" / "predictions" / f"{name}.csv"
+                assert dump.read_bytes() == (tmp_path / "trained.csv").read_bytes()
+                [row] = [
+                    r for r in result.rows
+                    if (r["graph_id"], r["model"], r["lambda"], r["seed"])
+                    == (gid, "eps_ifair", 0, seed)
+                ]
+                assert (row["rmse"], row["mmd2"]) == (repr(record.rmse), repr(record.mmd2))
+
+    def test_eps_ifair_at_zero_trains_when_the_full_run_failed(self, tmp_path, monkeypatch):
+        train = harness.train_predictor
+
+        def full_fails(variant, lam, *args, **kwargs):
+            if variant is Variant.FULL:
+                raise RuntimeError("full run failed")
+            return train(variant, lam, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_predictor", full_fails)
+        cfg = small_config(
+            graph_settings=(GraphSetting(d=5, s=6, count=1),),
+            train=TrainConfig(epochs=30, patience=15, lambda_grid=(0, 5.0)),
+        )
+        result = run_experiment(cfg, tmp_path)
+        assert [(f["model"], f["stage"]) for f in result.failures] == [("full", "train")]
+        assert [(r["model"], r["lambda"]) for r in result.rows][-2:] == [
+            ("eps_ifair", 0), ("eps_ifair", 5.0)
+        ]
 
     def test_cpdag_dir_checked_at_load_and_parse_errors_located(self, tmp_path):
         text = config_json(setting={"count": 2}, cpdag_dir=str(tmp_path))

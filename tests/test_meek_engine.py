@@ -54,7 +54,24 @@ class TestMeekClosure:
         assert fired(_fires_r3, g) == {("A", "B")}
         closed = meek_closure(g)
         assert closed.has_directed("A", "B")
-        assert closed.has_undirected("A", "C") and closed.has_undirected("A", "D")
+        assert set(closed.undirected_edges) == {("A", "C"), ("A", "D")}
+
+    @pytest.mark.parametrize("witnesses", [255, 256, 257])
+    def test_r1_counts_every_witness(self, witnesses):
+        # A0..Ak -> B, B -- C: a witness count that wrapped at 256 left B -- C
+        parents = [f"A{i}" for i in range(witnesses)]
+        g = Pdag(parents + ["B", "C"], directed=[(a, "B") for a in parents],
+                 undirected=[("B", "C")])
+        assert meek_closure(g).has_directed("B", "C")
+
+    @pytest.mark.parametrize("witnesses", [255, 256])
+    def test_r2_counts_every_witness(self, witnesses):
+        # A -> Ci -> B for each i, A -- B: a wrapped count left A -- B
+        mids = [f"C{i}" for i in range(witnesses)]
+        directed = [("A", c) for c in mids] + [(c, "B") for c in mids]
+        g = Pdag(["A", "B"] + mids, directed=directed, undirected=[("A", "B")])
+        assert fired(_fires_r2, g) == {("A", "B")}
+        assert meek_closure(g).has_directed("A", "B")
 
     def test_r4_chain_with_adjacent_anchor(self):
         g = parse_graph("A -- B\nA -- C\nC -> D\nD -> B\nA -- D")
