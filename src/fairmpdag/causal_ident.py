@@ -153,9 +153,10 @@ def enumerate_valid_orientations(
     set and its complement one at a time, each step applying one orientation
     as background knowledge to the closed graph of the step before. Closure
     only adds marks, so a step the closure rejects (reversal or orientation
-    conflict) ends its branch, and every leaf is a candidate: identifiable
-    for the intervened set, and distinct from the other leaves, which orient
-    some crossing edge the other way. Edges are taken in sorted order from
+    conflict) ends its branch, an edge the closure already oriented is
+    passed over, and every leaf is a candidate: identifiable for the
+    intervened set, and distinct from the other leaves, which orient some
+    crossing edge the other way. Edges are taken in sorted order from
     the last, ``a -> b`` before ``b -> a``. The search stops once ``limit``
     candidates are found; a graph with no candidate has no consistent
     extension and raises :class:`GraphError`.
@@ -180,7 +181,10 @@ def enumerate_valid_orientations(
             out.append(graph)
             continue
         a, b = edges[k - 1]
-        stack += [(graph, k - 1, (b, a)), (graph, k - 1, (a, b))]
+        if graph.has_directed(a, b) or graph.has_directed(b, a):
+            stack.append((graph, k - 1, None))  # the closure oriented it
+        else:
+            stack += [(graph, k - 1, (b, a)), (graph, k - 1, (a, b))]
     if not out:
         raise GraphError(
             f"do({','.join(g.sort_vertices(s))}): no orientation of the edges at the "

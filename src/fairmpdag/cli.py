@@ -4,6 +4,8 @@ Thin wrappers over the graph engine (cpdag, mpdag, pco, identify, relations)
 plus the experiment sweep. Graph, background-knowledge and config files all
 load through ``_load``, so bad input exits with ``file[:line]: message`` and
 no traceback; the experiment exits 2 when any per-run failure was recorded.
+Every graph command but cpdag takes an MPDAG and rejects a graph that is not
+its own Meek closure.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .causal_ident import (
 )
 from .graph_core import GraphError, Pdag, located_message, parse_graph
 from .harness import ExperimentConfig, run_experiment
-from .meek_engine import construct_mpdag, cpdag_from_dag, parse_background_knowledge
+from .meek_engine import construct_mpdag, cpdag_from_dag, meek_closure, parse_background_knowledge
 
 
 def _load(path: str, parse=parse_graph):
@@ -29,6 +31,17 @@ def _load(path: str, parse=parse_graph):
         return parse(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise SystemExit(located_message(path, exc))
+
+
+def _parse_mpdag(text: str) -> Pdag:
+    """``parse_graph``, then reject a graph that is not its own Meek closure,
+    naming the first edge the closure orients."""
+    g = parse_graph(text)
+    closed = meek_closure(g)
+    if closed != g:
+        tail, head = next(e for e in closed.directed_edges if not g.has_directed(*e))
+        raise GraphError(f"not closed under Meek's rules: they orient {tail} -> {head}")
+    return g
 
 
 def _bucket_text(g: Pdag, bucket) -> str:
@@ -44,7 +57,7 @@ def cmd_cpdag(args) -> int:
 
 
 def cmd_mpdag(args) -> int:
-    g = _load(args.graph)
+    g = _load(args.graph, _parse_mpdag)
     bk = _load(args.background, parse_background_knowledge)
     try:
         print(construct_mpdag(g, bk).to_text(), end="")
@@ -54,7 +67,7 @@ def cmd_mpdag(args) -> int:
 
 
 def cmd_pco(args) -> int:
-    g = _load(args.graph)
+    g = _load(args.graph, _parse_mpdag)
     nodes = args.nodes if args.nodes else list(g.names)
     ordering = pco(nodes, g)
     print(" < ".join(_bucket_text(g, b) for b in ordering.buckets))
@@ -62,7 +75,7 @@ def cmd_pco(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    g = _load(args.graph)
+    g = _load(args.graph, _parse_mpdag)
     intervened = args.do
     if is_identifiable(g, intervened):
         formula = identification_formula(g, intervened, pco(g.names, g))
@@ -75,7 +88,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    g = _load(args.graph)
+    g = _load(args.graph, _parse_mpdag)
     groups = {kind: [] for kind in AncestralRelation}
     for t in g.names:
         if t != args.sensitive:

@@ -16,26 +16,26 @@ level slices into a value and adds its gradient with respect to the
 predictions into one output gradient, and training then makes one backward
 pass.
 
-One kernel serves the training penalty, the validation pass, evaluation and
-``mmd2``: ``_context_mmd2`` takes one context's pooled predictions. Their
-level-pair mean MMD^2 is one weighted kernel sum, so its value and gradient
-follow from weighted row moments, which two providers compute.
-``_exact_moments`` builds the kernel from the diagonal on in cache-sized row
-chunks, with exact differences from the rank-2 product [a, 1] @ [1; -b];
-without gradients (validation, evaluation, ``mmd2``) it sums the weighted
-strips alone.
+One kernel rule serves the training penalty, the validation pass,
+evaluation and ``mmd2``: ``_context_mmd2`` takes one context's pooled
+predictions. Their level-pair mean MMD^2 is one weighted kernel sum, so its
+value and gradient follow from weighted row moments, which two providers
+compute. A context whose predictions span at most 16 kernel widths
+sqrt(sigma) takes them from one Chebyshev interpolant of the kernel
+(``_interpolated_moments``): the predictions are scalars, and over a span
+of s widths the Gaussian kernel is a rank-p product with p = 16 + ceil(6 s)
+to float64 rounding, so the moments cost O(L n p) instead of O(L^2 n^2). A
+wider context, or one with a NaN or infinite prediction, takes them from
+``_exact_moments``, which builds the kernel from the diagonal on in
+cache-sized row chunks, with exact differences from the rank-2 product
+[a, 1] @ [1; -b].
 
-Precision: everything is float64. Training, which needs gradients, takes
-the moments from one Chebyshev interpolant of the kernel per context
-(``_interpolated_moments``): the predictions are scalars, and over a span of
-s kernel widths sqrt(sigma) the Gaussian kernel is a rank-p product with
-p = 16 + ceil(6 s) to float64 rounding, so the moments cost O(L n p)
-instead of O(L^2 n^2). The gradients match whole-block float64 sums to
-1e-12 in kernel units (the error times P sqrt(sigma) n_i / (4 (L - 1)), P
-the number of level pairs). A context wider than 16 widths, or with a NaN or
-infinite prediction, takes the exact moments. The kernel raises a bandwidth
-below 2^-1000 to 2^-1000, so its scale and gradient coefficients stay
-finite at every positive bandwidth.
+Precision: everything is float64. The interpolated gradients match
+whole-block float64 sums to 1e-12 in kernel units (the error times
+P sqrt(sigma) n_i / (4 (L - 1)), P the number of level pairs), and the
+values to 1e-14. The kernel raises a bandwidth below 2^-1000 to 2^-1000,
+so its scale and gradient coefficients stay finite at every positive
+bandwidth.
 
 The median-heuristic bandwidth (``median_bandwidth``) is selected by
 sorted-difference selection: the differences s[j] - s[i] (i < j) of the
@@ -206,14 +206,14 @@ _CHUNK_ENTRIES = 65536
 # than 8.3e-150 apart underflow to 0 at the floor as below it, so the floor
 # changes only entries of predictions closer than that.
 _MIN_BANDWIDTH = 2.0**-1000
-# A training context (``_context_mmd2`` with gradients) whose pooled
-# predictions span at most _SPAN_CAP kernel widths sqrt(sigma) goes through
-# one Chebyshev interpolant of the kernel (``_interpolated_moments``) with
+# A context (``_context_mmd2``) whose pooled predictions span at most
+# _SPAN_CAP kernel widths sqrt(sigma) goes through one Chebyshev interpolant
+# of the kernel (``_interpolated_moments``) with
 # _NODES_BASE + ceil(_NODES_PER_SPAN * span) nodes. The Chebyshev coefficients
 # of exp(-(x - y)^2) over a span s fall like exp(-k^2 / s^2), so k = 6 s
 # reaches the float64 rounding level; the 16 nodes on top cover small spans,
-# where that estimate is loose. At the cap that is 112 nodes. Training spans
-# run to about 13 widths at the median-heuristic bandwidth; a wider context
+# where that estimate is loose. At the cap that is 112 nodes. Contexts span
+# about 13 widths or less at the median-heuristic bandwidth; a wider one
 # takes the exact moments.
 _SPAN_CAP = 16.0
 _NODES_BASE = 16
@@ -241,19 +241,18 @@ def _context_mmd2(pooled, sizes, sigma, want_grads=False):
     sum_k m[k, 0] and the gradient at row k is
     -(4 / sigma) ((p_k - c) m[k, 0] - m[k, 1]).
 
-    The value-only path (validation, evaluation, ``mmd2``) is exact
-    (``_exact_moments``). With ``want_grads`` (training) a context whose
-    predictions span at most ``_SPAN_CAP`` kernel widths sqrt(sigma) takes
-    the moments from one Chebyshev interpolant of the kernel
-    (``_interpolated_moments``); one with a wider span or a NaN or infinite
-    prediction takes them exactly.
+    Every caller, with or without ``want_grads``, takes the same moments: a
+    context whose predictions span at most ``_SPAN_CAP`` kernel widths
+    sqrt(sigma) through one Chebyshev interpolant of the kernel
+    (``_interpolated_moments``), one with a wider span or a NaN or infinite
+    prediction from the exact kernel (``_exact_moments``). The value is a mean
+    of squared RKHS norms, so one that rounding makes negative is returned as
+    0; a NaN value stays NaN.
     """
     sigma = max(sigma, _MIN_BANDWIDTH)
     levels = len(sizes)
     n = np.asarray(sizes, dtype=float)
     w = (levels * np.eye(levels) - 1.0) / (levels * (levels - 1) // 2 * np.outer(n, n))
-    if not want_grads:
-        return _exact_moments(pooled, sizes, w, sigma), None
     low, high = float(pooled.min()), float(pooled.max())
     span = (high - low) / math.sqrt(sigma)
     right = np.ones((len(pooled), 2))
@@ -262,12 +261,13 @@ def _context_mmd2(pooled, sizes, sigma, want_grads=False):
         m = _interpolated_moments(right, sizes, w, sigma, span)
     else:
         m = _exact_moments(pooled, sizes, w, sigma, right)
-    return float(m[:, 0].sum()), (-4.0 / sigma) * (right[:, 1] * m[:, 0] - m[:, 1])
+    value = max(float(m[:, 0].sum()), 0.0)  # max(nan, 0.0) is nan
+    grad = (-4.0 / sigma) * (right[:, 1] * m[:, 0] - m[:, 1]) if want_grads else None
+    return value, grad
 
 
-def _exact_moments(pooled, sizes, w, sigma, right=None):
-    """The weighted row moments of ``_context_mmd2`` from the exact kernel,
-    or, without ``right``, the value sum_k m[k, 0] alone.
+def _exact_moments(pooled, sizes, w, sigma, right):
+    """The weighted row moments of ``_context_mmd2`` from the exact kernel.
 
     The pooled predictions are walked level by level in row chunks of about
     ``_CHUNK_ENTRIES`` entries in one buffer reused for every chunk. A chunk
@@ -278,29 +278,24 @@ def _exact_moments(pooled, sizes, w, sigma, right=None):
     is p_l * 1 + 1 * (-p_k), one rounding, as ``np.subtract.outer``. They
     are squared, scaled and exponentiated in place.
 
-    w K is symmetric, so the value is twice the strips right of the squares
-    plus the squares, each level's block summed on its own and weighted by
-    its w, and a value-only call builds no moments. Otherwise the chunk is
-    scaled by w; its rows get the moments (w K) @ right of their square and
-    strip, and the rows right of the square get the chunk's column moments
-    (w K)^T right, their entries left of the diagonal. The diagonal entries
-    are built, so a NaN or infinite prediction still makes the value and its
-    row NaN.
+    w K is symmetric, so the chunk is scaled by w; its rows get the moments
+    (w K) @ right of their square and strip, and the rows right of the
+    square get the chunk's column moments (w K)^T right, their entries left
+    of the diagonal. The diagonal entries are built, so a NaN or infinite
+    prediction still makes its row NaN.
     """
     n = len(pooled)
     lead = np.ones((n, 2))
     lead[:, 0] = pooled
     trail = np.ones((2, n))
     np.negative(pooled, out=trail[1])
-    if right is not None:
-        moments = np.zeros((n, 2))
-        columns = np.repeat(w, sizes, axis=1)[:, :, None]  # columns[i, l] = w[i, level of l]
+    moments = np.zeros((n, 2))
+    columns = np.repeat(w, sizes, axis=1)[:, :, None]  # columns[i, l] = w[i, level of l]
     scale = -1.0 / sigma
     buf = np.empty(min(n * n, max(n, _CHUNK_ENTRIES)))
     bounds = list(accumulate(sizes))
-    value = 0.0
     start = 0
-    for i, weights in enumerate(w.tolist()):
+    for i in range(len(sizes)):
         while start < bounds[i]:
             stop = min(bounds[i], start + max(1, _CHUNK_ENTRIES // (n - start)))
             c = stop - start
@@ -309,17 +304,11 @@ def _exact_moments(pooled, sizes, w, sigma, right=None):
             np.multiply(k, k, out=k)
             k *= scale
             np.exp(k, out=k)
-            if right is None:
-                cuts = [c] + [end - start for end in bounds[i:]]
-                value += weights[i] * float(k[:c].sum())
-                for weight, a, b in zip(weights[i:], cuts, cuts[1:]):
-                    value += 2.0 * weight * float(k[a:b].sum())
-            else:
-                k *= columns[i, start:]
-                moments[start:stop] += k.T @ right[start:]
-                moments[stop:] += k[c:] @ right[start:stop]
+            k *= columns[i, start:]
+            moments[start:stop] += k.T @ right[start:]
+            moments[stop:] += k[c:] @ right[start:stop]
             start = stop
-    return value if right is None else moments
+    return moments
 
 
 def _interpolated_moments(right, sizes, w, sigma, span):

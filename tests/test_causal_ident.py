@@ -180,16 +180,25 @@ class TestEnumerateValidOrientations:
         undirected_left = sorted(len(c.undirected_edges) for c in got)
         assert undirected_left == [0, 0, 1, 1]
 
-    def test_star_of_sixteen_edges_has_seventeen_candidates(self):
+    def test_star_of_sixteen_edges_has_seventeen_candidates(self, monkeypatch):
         # A -- B00..B15 with do(A): all edges out of A, or exactly one into
         # A (a second would form an unshielded collider). Closing every one
-        # of the 2^16 assignments took about two minutes.
+        # of the 2^16 assignments took about two minutes. Once one edge
+        # points into A the closure orients the rest, and the search passes
+        # over them: 2 steps per edge on the all-out path, and one for each
+        # of the 16 edges turned into A
         g = Pdag(["A"] + [f"B{i:02d}" for i in range(16)],
                  undirected=[("A", f"B{i:02d}") for i in range(16)])
+        steps = []
+        construct = causal_ident.construct_mpdag
+        monkeypatch.setattr(
+            causal_ident, "construct_mpdag", lambda *a: steps.append(a) or construct(*a)
+        )
         start = time.perf_counter()
         got = enumerate_valid_orientations(g, ["A"])
         assert time.perf_counter() - start < 10
         assert len(got) == 17
+        assert len(steps) == 32
         into_a = sorted(len(c.parents_of("A")) for c in got)
         assert into_a == [0] + [1] * 16
 

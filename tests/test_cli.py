@@ -66,15 +66,37 @@ def test_identify_without_consistent_extension_exits_with_one_line(tmp_path):
     # the chordless 4-cycle has no DAG in its class, so no candidate exists
     g = tmp_path / "cycle.graph"
     g.write_text("A -- B\nB -- C\nC -- D\nD -- A\n")
-    src = str(Path(fairmpdag.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "fairmpdag.cli", "identify", str(g), "--do", "A"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_cli(["identify", str(g), "--do", "A"])
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("do(A): ") and done.stderr.count("\n") == 1
+
+
+def run_cli(args):
+    """The CLI in a fresh interpreter, for its exit code and streams."""
+    src = str(Path(fairmpdag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "fairmpdag.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", [["identify", "--do", "B"], ["pco"],
+                                     ["relations", "--sensitive", "A"], ["mpdag", "bk"]])
+def test_graph_not_its_own_closure_exits_with_one_line(tmp_path, capsys, command):
+    # R1 orients B -> C; on the closed graph do(B) is identifiable, and the
+    # "candidate" C -> B would add the unshielded collider A -> B <- C
+    g = tmp_path / "unclosed.graph"
+    g.write_text("A -> B\nB -- C\n")
+    (tmp_path / "bk").write_text("A -> B\n")
+    args = [command[0], str(g)] + [str(tmp_path / a) if a == "bk" else a for a in command[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert str(exc.value) == f"{g}: not closed under Meek's rules: they orient B -> C"
+    assert capsys.readouterr().out == ""
+    if command[0] == "identify":
+        done = run_cli(args)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"{exc.value}\n"
 
 
 def test_relations_output(demo_files, capsys):

@@ -77,7 +77,24 @@ class TestMmd2:
     )
     @settings(max_examples=80, deadline=None)
     def test_nonnegative(self, ya, yb, sigma):
-        assert mmd2(ya, yb, sigma) >= -1e-9
+        assert mmd2(ya, yb, sigma) >= 0.0
+
+    @given(
+        st.lists(st.floats(-5, 5), min_size=1, max_size=300),
+        st.integers(1, 300),
+        st.floats(0.0, 1e-9),
+        st.floats(1e-3, 1e3),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([0.3], 1000, 0.0, 1.0, 0)
+    @settings(max_examples=80, deadline=None)
+    def test_never_negative_on_near_equal_samples(self, ya, nb, jitter, sigma, seed):
+        # the second sample repeats the first's values, moved by at most
+        # `jitter`: the true value is 0 or just above it, and rounding must
+        # not take it below
+        rng = np.random.default_rng(seed)
+        yb = rng.choice(ya, nb) + rng.uniform(-jitter, jitter, nb)
+        assert mmd2(ya, yb, sigma) >= 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -118,9 +135,60 @@ class TestContextMmd2:
         preds = [rng.normal(size=n) for n in sizes]
         value, grads = context_mmd2(preds, 0.7)
         assert grads is None
-        # exact blocks against the interpolant: kernel means are at most 1,
-        # and the interpolant is exact to float64 rounding
-        assert context_mmd2(preds, 0.7, want_grads=True)[0] == pytest.approx(value, abs=1e-14)
+        # one kernel rule: the same moments with or without gradients
+        assert context_mmd2(preds, 0.7, want_grads=True)[0] == value
+
+    def test_equal_predictions_give_no_negative_value(self):
+        # 3 x 1000 equal predictions: every kernel entry is 1, and the
+        # weighted sum rounds to about -1e-16 or -5e-21 unless clamped
+        value, grads = context_mmd2([np.full(1000, 0.3)] * 3, 1.0, want_grads=True)
+        assert value >= 0.0
+        assert context_mmd2([np.full(1000, 0.3)] * 3, 1.0)[0] >= 0.0
+        for g in grads:
+            np.testing.assert_allclose(g, 0.0, rtol=0, atol=1e-12)
+
+    @given(
+        st.lists(st.integers(1, 1000), min_size=2, max_size=4),
+        st.floats(0.0, 20.0),
+        st.floats(-50.0, 50.0),
+        st.floats(-6.0, 6.0),
+        st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([1, 1], 0.0, 0.0, 0.0, None, 0)  # all equal: span 0
+    @example([1000, 1, 1000], 16.0, 50.0, -6.0, None, 1)  # at the cap
+    @example([1000, 1000, 1000, 1000], 16.5, -50.0, 6.0, None, 2)  # just past it
+    @example([7, 1000], 3.0, 0.0, 0.0, np.nan, 3)
+    @settings(max_examples=60, deadline=None)
+    def test_value_path_matches_dense_oracle(self, sizes, span, offset, log_sigma, bad, seed):
+        # without gradients, contexts of up to `span` kernel widths sqrt(sigma)
+        # about `offset` widths from 0 give the whole-block value within 1e-14;
+        # the interpolant runs at or below _SPAN_CAP, the exact moments above
+        # it and on a NaN or infinite prediction, which makes the value
+        # non-finite
+        rng = np.random.default_rng(seed)
+        root = np.sqrt(10.0**log_sigma)
+        preds = [(offset + rng.uniform(-span / 2, span / 2, size=n)) * root for n in sizes]
+        preds[0][0] = (offset - span / 2) * root
+        preds[-1][-1] = (offset + span / 2) * root
+        if bad is not None:
+            preds[-1][0] = bad
+        pooled = np.concatenate(preds)
+        wide = not (pooled.max() - pooled.min()) / root <= fair_train._SPAN_CAP
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_exact_moments", "_interpolated_moments"):
+                spied = getattr(fair_train, name)
+                patch.setattr(fair_train, name,
+                              lambda *a, name=name, spied=spied: calls.append(name) or spied(*a))
+            with np.errstate(invalid="ignore"):
+                value, grads = context_mmd2(preds, root * root)
+        assert grads is None
+        assert calls == ["_exact_moments" if wide else "_interpolated_moments"]
+        if bad is not None:
+            assert wide and not np.isfinite(value)
+            return
+        assert abs(value - dense_mmd2_value_grads(preds, root * root)[0]) <= 1e-14
 
     @given(
         st.lists(st.integers(1, 120), min_size=2, max_size=4),
@@ -139,7 +207,7 @@ class TestContextMmd2:
         # row (64 entries) or of several rows that end inside a level (5000),
         # give the weighted row moments (w o K) @ [1, p - c] of the whole
         # matrix within N float64 roundings of the terms |w K| [1, |p - c|],
-        # and its weighted sum to 1e-12
+        # and the value, the sum of their first column, to 1e-12
         rng = np.random.default_rng(seed)
         pooled = rng.normal(scale=2.0, size=sum(sizes)) + offset
         centre = float(pooled.min() + pooled.max()) / 2
@@ -153,10 +221,8 @@ class TestContextMmd2:
         bound = len(pooled) * np.finfo(float).eps * (np.abs(weighted) @ np.abs(right))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fair_train, "_CHUNK_ENTRIES", chunk)
-            value = _exact_moments(pooled, sizes, w, sigma)
             moments = _exact_moments(pooled, sizes, w, sigma, right)
-        assert type(value) is float
-        assert value == pytest.approx(weighted.sum(), abs=1e-12)
+        assert moments[:, 0].sum() == pytest.approx(weighted.sum(), abs=1e-12)
         assert np.all(np.abs(moments - weighted @ right) <= bound)
 
     @pytest.mark.parametrize("unit, width, exact", [(1e39, 1.0, False), (1e-25, 1.0, False),
