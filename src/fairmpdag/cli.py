@@ -5,7 +5,7 @@ plus the experiment sweep. Graph, background-knowledge and config files all
 load through ``_load``, so bad input exits with ``file[:line]: message`` and
 no traceback; the experiment exits 2 when any per-run failure was recorded.
 Every graph command but cpdag takes an MPDAG and rejects a graph that is not
-its own Meek closure.
+its own Meek closure or has no consistent extension.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .causal_ident import (
 )
 from .graph_core import GraphError, Pdag, located_message, parse_graph
 from .harness import ExperimentConfig, run_experiment
-from .meek_engine import construct_mpdag, cpdag_from_dag, meek_closure, parse_background_knowledge
+from .meek_engine import check_mpdag, construct_mpdag, cpdag_from_dag, parse_background_knowledge
 
 
 def _load(path: str, parse=parse_graph):
@@ -34,14 +34,8 @@ def _load(path: str, parse=parse_graph):
 
 
 def _parse_mpdag(text: str) -> Pdag:
-    """``parse_graph``, then reject a graph that is not its own Meek closure,
-    naming the first edge the closure orients."""
-    g = parse_graph(text)
-    closed = meek_closure(g)
-    if closed != g:
-        tail, head = next(e for e in closed.directed_edges if not g.has_directed(*e))
-        raise GraphError(f"not closed under Meek's rules: they orient {tail} -> {head}")
-    return g
+    """``parse_graph``, then reject a graph that is not an MPDAG (``check_mpdag``)."""
+    return check_mpdag(parse_graph(text))
 
 
 def _bucket_text(g: Pdag, bucket) -> str:

@@ -26,9 +26,8 @@ sqrt(sigma) takes them from one Chebyshev interpolant of the kernel
 of s widths the Gaussian kernel is a rank-p product with p = 16 + ceil(6 s)
 to float64 rounding, so the moments cost O(L n p) instead of O(L^2 n^2). A
 wider context, or one with a NaN or infinite prediction, takes them from
-``_exact_moments``, which builds the kernel from the diagonal on in
-cache-sized row chunks, with exact differences from the rank-2 product
-[a, 1] @ [1; -b].
+``_exact_moments``, a loop over row chunks of the whole kernel; at the
+median-heuristic bandwidth no workload measured so far takes it.
 
 Precision: everything is float64. The interpolated gradients match
 whole-block float64 sums to 1e-12 in kernel units (the error times
@@ -52,7 +51,7 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, combinations, groupby
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -195,9 +194,8 @@ class FairPredictor:
 
 # -- MMD -----------------------------------------------------------------------
 
-# The kernel is built in row chunks of about this many entries, in one buffer
-# that stays in cache instead of each context allocating several matrix-sized
-# temporaries.
+# The exact kernel (``_exact_moments``) is built in row chunks of about this
+# many entries, which bounds its memory whatever the context's size.
 _CHUNK_ENTRIES = 65536
 # The kernel raises a smaller bandwidth to this floor. Below it, -1/sigma and
 # the gradient coefficient 4/sigma overflow or come near it (at a subnormal
@@ -267,47 +265,25 @@ def _context_mmd2(pooled, sizes, sigma, want_grads=False):
 
 
 def _exact_moments(pooled, sizes, w, sigma, right):
-    """The weighted row moments of ``_context_mmd2`` from the exact kernel.
+    """The weighted row moments of ``_context_mmd2`` from the exact kernel,
+    one chunk of rows of about ``_CHUNK_ENTRIES`` entries at a time.
 
-    The pooled predictions are walked level by level in row chunks of about
-    ``_CHUNK_ENTRIES`` entries in one buffer reused for every chunk. A chunk
-    builds only the columns from its first row on, stored one column per
-    buffer row: its square on the diagonal, then the strip to its right, so
-    the columns of each level are one contiguous block. The differences are
-    the matrix product [p, 1] @ [1; -p] on the raw predictions: each entry
-    is p_l * 1 + 1 * (-p_k), one rounding, as ``np.subtract.outer``. They
-    are squared, scaled and exponentiated in place.
-
-    w K is symmetric, so the chunk is scaled by w; its rows get the moments
-    (w K) @ right of their square and strip, and the rows right of the
-    square get the chunk's column moments (w K)^T right, their entries left
-    of the diagonal. The diagonal entries are built, so a NaN or infinite
-    prediction still makes its row NaN.
+    A chunk is the differences of its rows to every pooled prediction,
+    squared, scaled, exponentiated and weighted by w, times ``right``. A NaN
+    or infinite prediction makes moments NaN (inf - inf on the diagonal), so
+    the value is not finite.
     """
-    n = len(pooled)
-    lead = np.ones((n, 2))
-    lead[:, 0] = pooled
-    trail = np.ones((2, n))
-    np.negative(pooled, out=trail[1])
-    moments = np.zeros((n, 2))
-    columns = np.repeat(w, sizes, axis=1)[:, :, None]  # columns[i, l] = w[i, level of l]
-    scale = -1.0 / sigma
-    buf = np.empty(min(n * n, max(n, _CHUNK_ENTRIES)))
-    bounds = list(accumulate(sizes))
-    start = 0
-    for i in range(len(sizes)):
-        while start < bounds[i]:
-            stop = min(bounds[i], start + max(1, _CHUNK_ENTRIES // (n - start)))
-            c = stop - start
-            k = buf[: (n - start) * c].reshape(n - start, c)
-            np.matmul(lead[start:], trail[:, start:stop], out=k)
-            np.multiply(k, k, out=k)
-            k *= scale
-            np.exp(k, out=k)
-            k *= columns[i, start:]
-            moments[start:stop] += k.T @ right[start:]
-            moments[stop:] += k[c:] @ right[start:stop]
-            start = stop
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    moments = np.empty_like(right)
+    step = max(1, _CHUNK_ENTRIES // len(pooled))
+    for start in range(0, len(pooled), step):
+        rows = slice(start, start + step)
+        k = np.subtract.outer(pooled[rows], pooled)
+        np.square(k, out=k)
+        k *= -1.0 / sigma
+        np.exp(k, out=k)
+        k *= w[level[rows, None], level]
+        moments[rows] = k @ right
     return moments
 
 
@@ -322,62 +298,49 @@ def _interpolated_moments(right, sizes, w, sigma, span):
     2004): exp(-(x - y)^2) ~ b(x)^T T b(y), T[a, c] = exp(-(t_a - t_c)^2).
     Stack level j's basis rows in B_j and take its moments
     M_j = B_j^T right_j (p x 2). Then the moments of a row k of level i are
-    b(x_k)^T T W_i with W_i = sum_j w[i, j] M_j: one product per level.
-
-    The basis is built twice, for M and for the row moments, in row chunks
-    of about ``_CHUNK_ENTRIES`` entries in one buffer (``_basis_chunks``), so
-    the working set is that of one exact kernel chunk.
+    b(x_k)^T T W_i with W_i = sum_j w[i, j] M_j: one product per level, on
+    one n x p basis (``_basis``) built once for all pooled rows.
     """
     nodes = _NODES_BASE + math.ceil(_NODES_PER_SPAN * span)
     t = (span / 2 + _NODE_MARGIN) * np.cos(np.arange(nodes) * (np.pi / (nodes - 1)))
     weights = np.ones(nodes)
     weights[1::2] = -1.0
     weights[[0, -1]] /= 2
-    cuts = np.cumsum(sizes)[:-1]
-    xs = np.split(right[:, 1] / math.sqrt(sigma), cuts)
-    step = max(1, _CHUNK_ENTRIES // nodes)
-    buf = np.empty(min(step, max(sizes)) * nodes)
-    basis_moments = np.zeros((len(sizes), nodes, 2))
-    for x, level, m in zip(xs, np.split(right, cuts), basis_moments):
-        for rows, q, norm in _basis_chunks(x, t, weights, step, buf):
-            m += q.T @ (level[rows] / norm[:, None])
+    q, norm = _basis(right[:, 1] / math.sqrt(sigma), t, weights)
+    levels = [slice(stop - n, stop) for n, stop in zip(sizes, np.cumsum(sizes))]
+    scaled = right / norm[:, None]
+    basis_moments = np.stack([q[rows].T @ scaled[rows] for rows in levels])
     basis_moments *= weights[:, None]
     kern = np.exp(-np.square(np.subtract.outer(t, t)))
     mixed = (w @ basis_moments.reshape(len(sizes), -1)).reshape(basis_moments.shape)
     products = (kern @ mixed) * weights[:, None]
     moments = np.empty_like(right)
-    for x, out, product in zip(xs, np.split(moments, cuts), products):
-        for rows, q, norm in _basis_chunks(x, t, weights, step, buf):
-            out[rows] = (q @ product) / norm[:, None]
+    for rows, product in zip(levels, products):
+        moments[rows] = q[rows] @ product
+    moments /= norm[:, None]
     return moments
 
 
-def _basis_chunks(x, t, weights, step, buf):
-    """The barycentric basis of the points ``x`` at the nodes ``t``, in row
-    chunks of ``step`` rows written into ``buf``.
-
-    Yields ``(rows, q, norm)``: row k of the basis is
-    q[k] * weights / norm[k], where q = 1 / (x - t) comes from the exact
-    differences [x, 1] @ [1; -t] (one rounding each, as in ``_exact_moments``)
-    and norm = q @ weights. A point on a node, whose difference is 0 or so
-    small that its reciprocal overflows, gets that node's unit row instead of
-    inf / inf.
+def _basis(x, t, weights):
+    """The barycentric basis of the points ``x`` at the nodes ``t`` as
+    ``(q, norm)``: row k is q[k] * weights / norm[k], with norm = q @ weights
+    and q = 1 / (x - t) from the rank-2 product [x, 1] @ [1; -t] (each entry
+    rounded once, as ``np.subtract.outer``, but 2-3 times faster). A point on
+    a node, whose difference is 0 or so small that its reciprocal overflows,
+    gets that node's unit row instead of inf / inf.
     """
+    lead = np.ones((len(x), 2))
+    lead[:, 0] = x
     trail = np.ones((2, len(t)))
     np.negative(t, out=trail[1])
-    for start in range(0, len(x), step):
-        rows = slice(start, start + step)
-        lead = np.ones((len(x[rows]), 2))
-        lead[:, 0] = x[rows]
-        q = buf[: len(lead) * len(t)].reshape(len(lead), len(t))
-        np.matmul(lead, trail, out=q)
-        with np.errstate(divide="ignore", over="ignore"):
-            np.reciprocal(q, out=q)
-        norm = q @ weights
-        hit = np.flatnonzero(~np.isfinite(norm))
-        q[hit] = np.isinf(q[hit]) / weights
-        norm[hit] = 1.0
-        yield rows, q, norm
+    q = lead @ trail
+    with np.errstate(divide="ignore", over="ignore"):
+        np.reciprocal(q, out=q)
+    norm = q @ weights
+    hit = np.flatnonzero(~np.isfinite(norm))
+    q[hit] = np.isinf(q[hit]) / weights
+    norm[hit] = 1.0
+    return q, norm
 
 
 def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: str | float) -> float:

@@ -41,7 +41,7 @@ from .fair_train import (
     train_predictor,
 )
 from .graph_core import Pdag, located_message, parse_graph
-from .meek_engine import construct_mpdag, cpdag_from_dag
+from .meek_engine import check_mpdag, construct_mpdag, cpdag_from_dag
 from .scm_lab import (
     Dataset,
     Scm,
@@ -68,7 +68,10 @@ class GraphSetting:
         ok = type(self.s) is int and 0 <= self.s <= most
         _check("s", self.s, ok, f"an integer in [0, {most}]")
         _check_int("count", self.count, 1)
-        _check_int("admissible_count", self.admissible_count, 0)
+        # every vertex but the outcome and the sensitive one may be admissible
+        k, pool = self.admissible_count, self.d - 2
+        ok = type(k) is int and 0 <= k <= pool
+        _check("admissible_count", k, ok, f"an integer in [0, {pool}]")
 
     @property
     def label(self) -> str:
@@ -199,10 +202,10 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
     true_dag = scm.dag.induced_subgraph(observed)
     if cfg.cpdag_dir is not None:
         # externally learned graph (e.g. from a discovery algorithm) instead
-        # of the CPDAG derived from the known DAG
+        # of the CPDAG derived from the known DAG; it must be an MPDAG
         path = cfg.cpdag_path(setting_idx, graph_id)
         try:
-            cpdag = parse_graph(path.read_text())
+            cpdag = check_mpdag(parse_graph(path.read_text()))
         except ValueError as exc:
             raise ValueError(located_message(path, exc)) from None
         if set(cpdag.names) != set(true_dag.names):
@@ -211,9 +214,8 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
         cpdag = cpdag_from_dag(true_dag)
     rng = child_rng(case_seed, 9)
     pool = [v for v in true_dag.names if v != scm.sensitive]
-    k = min(setting.admissible_count, len(pool))
     admissible = true_dag.sort_vertices(
-        pool[i] for i in rng.choice(len(pool), size=k, replace=False)
+        pool[i] for i in rng.choice(len(pool), size=setting.admissible_count, replace=False)
     )
     intervened = true_dag.sort_vertices({scm.sensitive, *admissible})
 

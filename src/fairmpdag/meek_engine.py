@@ -6,6 +6,7 @@ background knowledge (orient each statement, then close, failing on
 contradiction), and the prediction-vertex augmentation used to reason about
 a learned predictor as a graph vertex. R4 never fires on a pattern closed
 under R1-R3 (Meek, UAI 1995), so the CPDAG is the same closure's fixpoint.
+``check_mpdag`` is the one test that an input graph is an MPDAG.
 """
 from __future__ import annotations
 
@@ -109,6 +110,39 @@ def meek_closure(g: Pdag) -> Pdag:
         return Pdag.from_arrays(g.names, dmat, umat)
     except DirectedCycleError as exc:
         raise OrientationConflictError("closure created a directed cycle") from exc
+
+
+def check_mpdag(g: Pdag) -> Pdag:
+    """Return ``g`` if it is an MPDAG, else raise :class:`GraphError`.
+
+    An MPDAG is its own R1-R4 closure (the error names the first edge the
+    closure orients) and has a consistent extension, a DAG with its skeleton,
+    its directed edges and no new unshielded collider. The extension test is
+    Dor & Tarsi's (1992): a vertex with no child among the remaining ones,
+    each of whose undirected neighbours is adjacent to all its other
+    neighbours, can come last; remove such vertices until none is left. A
+    vertex that can come last still can after another is removed, so each
+    round removes all of them. The error names the vertices left.
+    """
+    try:
+        closed = meek_closure(g)
+    except OrientationConflictError as exc:
+        raise GraphError(f"not closed under Meek's rules: {exc}") from None
+    if closed != g:
+        tail, head = next(e for e in closed.directed_edges if not g.has_directed(*e))
+        raise GraphError(f"not closed under Meek's rules: they orient {tail} -> {head}")
+    dmat, umat = g.directed_mask, g.undirected_mask
+    adj = dmat | dmat.T | umat
+    near = adj | np.eye(g.n, dtype=bool)
+    left = np.ones(g.n, dtype=bool)
+    while left.any():
+        last = [v for v in np.flatnonzero(left) if not (dmat[v] & left).any()
+                and near[np.ix_(umat[v] & left, adj[v] & left)].all()]
+        if not last:
+            stuck = ", ".join(g.names[v] for v in np.flatnonzero(left))
+            raise GraphError(f"no consistent extension: none of {stuck} can come last")
+        left[last] = False
+    return g
 
 
 def pattern_of_dag(d: Pdag) -> Pdag:

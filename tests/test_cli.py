@@ -62,14 +62,33 @@ def test_identify_unidentifiable_counts(tmp_path, capsys):
     assert "not identifiable: 2 candidate MPDAGs" in capsys.readouterr().out
 
 
+CYCLE = "A -- B\nB -- C\nC -- D\nD -- A\n"
+CYCLE_ERROR = "no consistent extension: none of A, B, C, D can come last"
+
+
 def test_identify_without_consistent_extension_exits_with_one_line(tmp_path):
-    # the chordless 4-cycle has no DAG in its class, so no candidate exists
+    # the chordless 4-cycle is its own Meek closure but has no DAG in its
+    # class; the load-time check rejects it before the candidate search
     g = tmp_path / "cycle.graph"
-    g.write_text("A -- B\nB -- C\nC -- D\nD -- A\n")
+    g.write_text(CYCLE)
     done = run_cli(["identify", str(g), "--do", "A"])
     assert done.returncode == 1
     assert done.stdout == ""
-    assert done.stderr.startswith("do(A): ") and done.stderr.count("\n") == 1
+    assert done.stderr == f"{g}: {CYCLE_ERROR}\n"
+
+
+@pytest.mark.parametrize("command", [["pco"], ["relations", "--sensitive", "A"],
+                                     ["mpdag", "bk"]])
+def test_graph_without_consistent_extension_exits_with_one_line(tmp_path, command):
+    # relations called C a definite descendant of A, pco printed one bucket,
+    # and mpdag blamed the background-knowledge file for the cycle
+    g = tmp_path / "cycle.graph"
+    g.write_text(CYCLE)
+    (tmp_path / "bk").write_text("A -> B\n")
+    args = [command[0], str(g)] + [str(tmp_path / a) if a == "bk" else a for a in command[1:]]
+    done = run_cli(args)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"{g}: {CYCLE_ERROR}\n"
 
 
 def run_cli(args):

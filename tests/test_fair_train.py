@@ -24,7 +24,7 @@ from fairmpdag import (
 )
 from fairmpdag import fair_train
 from fairmpdag.fair_train import (
-    _basis_chunks,
+    _basis,
     _context_mmd2,
     _exact_moments,
     _gap_rank,
@@ -278,11 +278,12 @@ class TestContextMmd2:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rank_two_differences_equal_subtract_outer(self, dtype):
-        # _exact_moments forms a chunk's differences as [a, 1] @ [1; -b]: each
-        # entry is a * 1 + 1 * (-b), rounded once, so it equals
-        # np.subtract.outer bit for bit; only a zero may lose its sign, and
-        # the kernel squares it. Magnitudes 1e-30 to 1e30, subnormals, signed
-        # zeros, equal pairs, infinities and NaN, in 300 shapes.
+        # _basis forms the differences of the points to the nodes as
+        # [a, 1] @ [1; -b]: each entry is a * 1 + 1 * (-b), rounded once, so
+        # it equals np.subtract.outer bit for bit; only a zero may lose its
+        # sign, and 1 / 0 then gives the node's unit row either way.
+        # Magnitudes 1e-30 to 1e30, subnormals, signed zeros, equal pairs,
+        # infinities and NaN, in 300 shapes.
         rng = np.random.default_rng(269)
         info = np.finfo(dtype)
         tiny = info.smallest_subnormal
@@ -301,7 +302,7 @@ class TestContextMmd2:
             a, b = draw(m), draw(n)
             same = rng.random(min(m, n)) < 0.3  # equal pairs on the diagonal
             b[: min(m, n)][same] = a[: min(m, n)][same]
-            first = int(rng.integers(0, n))  # a chunk's strip starts off column 0
+            first = int(rng.integers(0, n))  # a view that starts off column 0
             lead = np.ones((m, 2), dtype)
             lead[:, 0] = a
             trail = np.ones((2, n), dtype)
@@ -438,7 +439,7 @@ class TestInterpolant:
         weights = np.resize([1.0, -1.0], 17)
         weights[[0, -1]] /= 2
         x = np.array([t[0], t[5], 0.3, 0.0, -0.0, 1e-320, -t[9]])
-        ((rows, q, norm),) = _basis_chunks(x, t, weights, len(x), np.empty(len(x) * len(t)))
+        q, norm = _basis(x, t, weights)
         basis = q * weights / norm[:, None]
         for k, node in ((0, 0), (1, 5), (3, 8), (4, 8), (5, 8)):
             assert np.array_equal(basis[k], np.eye(len(t))[node])

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fairmpdag import harness
+from fairmpdag import fair_train, harness
 from fairmpdag.fair_train import TrainConfig, Variant
 from fairmpdag.harness import (
     ExperimentConfig,
@@ -217,6 +217,12 @@ BAD_CONFIGS = [
     (config_json(setting={"s": -1}), "graph_settings[0]: s must be"),
     (config_json(setting={"count": 0}), "graph_settings[0]: count must be"),
     (config_json(setting={"admissible_count": -1}), "graph_settings[0]: admissible_count must be"),
+    # only the d - 2 vertices other than the outcome and the sensitive one
+    (
+        config_json(setting={"d": 5, "s": 6, "admissible_count": 9}),
+        "graph_settings[0]: admissible_count must be an integer in [0, 3]",
+    ),
+    (config_json(setting={"admissible_count": 3}), "graph_settings[0]: admissible_count must be"),
     (config_json(train={"hidden_width": 0}), "train: hidden_width must be"),
     (config_json(train={"epochs": 0}), "train: epochs must be"),
     (config_json(train={"epochs": True}), "train: epochs must be"),
@@ -425,6 +431,35 @@ class TestRunExperiment:
         assert [(f["stage"], f["error"]) for f in result.failures] == [
             ("build", f"{path}:2: unknown token in 'A => C'") for path in paths
         ]
+
+    def test_cpdag_dir_files_must_be_mpdags(self, tmp_path):
+        # the learned graph is checked where it enters; the derived CPDAG is not
+        text = config_json(setting={"count": 2}, cpdag_dir=str(tmp_path))
+        paths = [tmp_path / f"4nodes3edges_g{gid}.graph" for gid in range(2)]
+        paths[0].write_text("A -> B\nB -- C\n")
+        paths[1].write_text("A -- B\nB -- C\nC -- D\nD -- A\n")
+        result = run_experiment(ExperimentConfig.from_json(text), tmp_path / "out")
+        assert [(f["stage"], f["error"]) for f in result.failures] == [
+            ("build", f"{paths[0]}: not closed under Meek's rules: they orient B -> C"),
+            ("build", f"{paths[1]}: no consistent extension: none of A, B, C, D can come last"),
+        ]
+
+
+def test_penalised_run_never_takes_the_exact_kernel(monkeypatch):
+    # the exact moments are the fallback for contexts wider than _SPAN_CAP
+    # kernel widths; a short penalised run on a small graph stays under it in
+    # training, validation and evaluation
+    spans, exact = [], []
+    interpolated, exact_moments = fair_train._interpolated_moments, fair_train._exact_moments
+    monkeypatch.setattr(fair_train, "_interpolated_moments",
+                        lambda *a: spans.append(a[-1]) or interpolated(*a))
+    monkeypatch.setattr(fair_train, "_exact_moments",
+                        lambda *a: exact.append(a) or exact_moments(*a))
+    cfg = small_config()
+    record, _ = run_case(cfg, build_case(cfg, 0, 0), Variant.EPS_IFAIR, 5.0, 0)
+    assert np.isfinite(record.mmd2)
+    assert len(exact) == 0
+    assert spans and max(spans) <= fair_train._SPAN_CAP
 
 
 def test_dump_predictions_matches_csv_writer_bytes(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from fairmpdag import (
     BackgroundKnowledgeConflict,
+    DirectedCycleError,
     GraphError,
     Pdag,
     augment_with_prediction,
@@ -16,7 +19,7 @@ from fairmpdag import (
     pattern_of_dag,
     random_er_dag,
 )
-from fairmpdag.meek_engine import _fires_r1, _fires_r2, _fires_r3, _fires_r4
+from fairmpdag.meek_engine import _fires_r1, _fires_r2, _fires_r3, _fires_r4, check_mpdag
 
 from .conftest import BK_DEMO_KNOWLEDGE
 from .oracles import (
@@ -319,3 +322,52 @@ def test_augment_commutes_with_orientation_on_random_mpdags(seed):
     assert construct_mpdag(augment_with_prediction(g), bk) == left
     stated = list(g.directed_edges) + bk + [(v, "Yhat") for v in dag.names]
     assert construct_mpdag(cpdag_from_dag(augment_with_prediction(dag)), stated) == left
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_check_mpdag_accepts_cpdags_and_mpdags(seed):
+    dag, cpdag, mpdag = random_mpdag(np.random.default_rng(seed))
+    for g in (dag, cpdag, mpdag):
+        assert check_mpdag(g) is g
+
+
+def random_pdag(rng, max_n=6):
+    """An acyclic PDAG on 2-``max_n`` vertices with a random share of adjacent
+    pairs, of which a random share is directed; not closed in general."""
+    names = [f"V{i}" for i in range(int(rng.integers(2, max_n + 1)))]
+    p_edge, p_directed = rng.uniform(0.3, 0.7), rng.uniform(0.0, 0.5)
+    while True:
+        directed, undirected = [], []
+        for a, b in itertools.combinations(names, 2):
+            if rng.random() >= p_edge:
+                continue
+            if rng.random() < p_directed:
+                directed.append((a, b) if rng.random() < 0.5 else (b, a))
+            else:
+                undirected.append((a, b))
+        try:
+            return Pdag(names, directed=directed, undirected=undirected)
+        except DirectedCycleError:
+            continue
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_check_mpdag_rejects_exactly_unclosed_or_unextendable(seed):
+    # small random PDAGs: rejected exactly when the closure orients an edge
+    # (or fails) or no DAG extends the graph, by exhaustive orientation; about
+    # 6 % of the draws are closed and have no extension
+    g = random_pdag(np.random.default_rng(seed))
+    try:
+        closed = meek_closure(g) == g
+    except GraphError:
+        closed = False
+    mpdag = closed and bool(naive_extensions(g))
+    try:
+        check_mpdag(g)
+    except GraphError as exc:
+        assert not mpdag
+        assert str(exc).startswith("no consistent extension" if closed else "not closed")
+    else:
+        assert mpdag
