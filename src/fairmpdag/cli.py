@@ -94,7 +94,10 @@ def cmd_relations(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json)
-    result = run_experiment(cfg, args.out)
+    try:
+        result = run_experiment(cfg, args.out)
+    except OSError as exc:  # every sweep write happens in run_experiment
+        raise SystemExit(located_message(args.out, exc))
     print(f"{len(result.rows)} runs -> {args.out}/tradeoff.csv")
     if result.failures:
         print(f"{len(result.failures)} failures -> {args.out}/failures.csv", file=sys.stderr)

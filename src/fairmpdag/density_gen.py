@@ -75,13 +75,12 @@ def generate_interventional(
     assignments: Mapping[str, float],
     n: int,
     seed: int,
-    split=SPLIT_82,
 ) -> Dataset:
     """Sample the identification formula with the intervened vertices clamped.
 
     Buckets are drawn sequentially in causal order, each from its fitted
     conditional given already-sampled or clamped parent values. Deterministic
-    for a fixed seed and model set.
+    for a fixed seed and model set; rows are tagged 8:2 train/val.
     """
     missing = [v for v in formula.fixed if v not in assignments]
     if missing:
@@ -105,7 +104,7 @@ def generate_interventional(
         values = mean + noise
         for k, v in enumerate(bucket):
             columns[v] = values[:, k]
-    return Dataset(columns, split_tags(n, split))
+    return Dataset(columns, split_tags(n, SPLIT_82))
 
 
 # -- serialization -------------------------------------------------------------

@@ -138,8 +138,6 @@ class InterventionalSet:
 class EvalRecord:
     rmse: float
     mmd2: float
-    lam: float
-    seed: int
 
 
 @dataclass
@@ -725,4 +723,4 @@ def evaluate(
     rmse = float(np.sqrt(((out[: len(y)] - y) ** 2).mean()))
     mmd = functools.partial(_mmd2_discrepancy, bandwidth_mode=bandwidth_mode)
     unfairness = _penalty(out, cells, mmd, None)
-    return EvalRecord(rmse=rmse, mmd2=unfairness, lam=model.lam, seed=model.seed)
+    return EvalRecord(rmse=rmse, mmd2=unfairness)

@@ -209,7 +209,10 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
         except ValueError as exc:
             raise ValueError(located_message(path, exc)) from None
         if set(cpdag.names) != set(true_dag.names):
-            raise ValueError(f"{path} does not cover the observed vertices")
+            missing = ", ".join(true_dag.sort_vertices(set(true_dag.names) - set(cpdag.names)))
+            extra = ", ".join(cpdag.sort_vertices(set(cpdag.names) - set(true_dag.names)))
+            raise ValueError(f"{path}: must hold exactly the observed vertices: "
+                             f"missing {missing or 'none'}; extra {extra or 'none'}")
     else:
         cpdag = cpdag_from_dag(true_dag)
     rng = child_rng(case_seed, 9)
@@ -347,72 +350,82 @@ TRADEOFF_FIELDS = ("setting", "graph_id", "model", "lambda", "seed", "rmse", "mm
 FAILURE_FIELDS = ("setting", "graph_id", "model", "lambda", "seed", "stage", "error")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
-    """Run the full sweep, writing tradeoff.csv, failures.csv, predictions/, models/.
+def run_graph(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> tuple[list, list, dict]:
+    """One graph's tradeoff rows, failure rows and output files (a path under
+    the output directory mapped to its text); touches no file. eps-IFair at
+    lambda 0 reuses the successful Full run of its graph and seed."""
+    label = cfg.graph_settings[setting_idx].label
+    base = {"setting": label, "graph_id": graph_id}
+    try:
+        case = build_case(cfg, setting_idx, graph_id)
+    except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+        failure = {"model": "", "lambda": "", "seed": "", "stage": "build", "error": str(exc)}
+        return [], [base | failure], {}
+    rows, failures, files = [], [], {}
+    for group, models in enumerate(case.conditionals):
+        files[f"models/{label}_g{graph_id}_conditionals_{group}.json"] = models_to_json(models)
+    full_runs = {}  # seed -> (record, model) of the successful Full run
+    for variant, lam in run_plan(cfg):
+        for seed in cfg.train.seeds:
+            run_seed = derive_seed(cfg.seed, 5, setting_idx, graph_id, seed)
+            tag = base | {"model": variant.value, "lambda": lam, "seed": seed}
+            try:
+                if variant is Variant.EPS_IFAIR and lam == 0 and seed in full_runs:
+                    # unpenalised on the same features and seed, it is
+                    # the Full predictor bit for bit
+                    record, full = full_runs[seed]
+                    model = replace(full, variant=variant, lam=lam)
+                else:
+                    record, model = run_case(cfg, case, variant, lam, run_seed)
+            except NonFiniteMetricError as exc:
+                failures.append(tag | {"stage": "eval", "error": str(exc)})
+                continue
+            except Exception as exc:  # noqa: BLE001
+                failures.append(tag | {"stage": "train", "error": str(exc)})
+                continue
+            if variant is Variant.FULL:
+                full_runs[seed] = record, model
+            rows.append(tag | {"rmse": repr(record.rmse), "mmd2": repr(record.mmd2)})
+            run_name = f"{label}_g{graph_id}_{variant.value}_lam{lam}_s{seed}"
+            files[f"predictions/{run_name}.csv"] = _dump_predictions(case, model)
+            files[f"models/{run_name}.json"] = model.to_json()
+    return rows, failures, files
 
-    eps-IFair at lambda 0 reuses the successful Full run of its graph and seed.
-    """
+
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
+    """Run the sweep graph by graph in plan order, writing each graph's files
+    under predictions/ and models/, then appending its rows to tradeoff.csv and
+    failures.csv, so an interrupted sweep keeps every finished graph."""
     out = Path(out_dir)
     (out / "predictions").mkdir(parents=True, exist_ok=True)
     (out / "models").mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
-    failures: list[dict] = []
-    for setting_idx, setting in enumerate(cfg.graph_settings):
-        for graph_id in range(setting.count):
-            base = {"setting": setting.label, "graph_id": graph_id}
-            try:
-                case = build_case(cfg, setting_idx, graph_id)
-            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                failures.append(
-                    base | {"model": "", "lambda": "", "seed": "", "stage": "build", "error": str(exc)}
-                )
-                continue
-            for group, models in enumerate(case.conditionals):
-                path = out / "models" / f"{setting.label}_g{graph_id}_conditionals_{group}.json"
-                path.write_text(models_to_json(models))
-            full_runs = {}  # seed -> (record, model) of the successful Full run
-            for variant, lam in run_plan(cfg):
-                for seed in cfg.train.seeds:
-                    run_seed = derive_seed(cfg.seed, 5, setting_idx, graph_id, seed)
-                    tag = base | {"model": variant.value, "lambda": lam, "seed": seed}
-                    try:
-                        if variant is Variant.EPS_IFAIR and lam == 0 and seed in full_runs:
-                            # unpenalised on the same features and seed, it is
-                            # the Full predictor bit for bit
-                            record, full = full_runs[seed]
-                            model = replace(full, variant=variant, lam=lam)
-                        else:
-                            record, model = run_case(cfg, case, variant, lam, run_seed)
-                    except NonFiniteMetricError as exc:
-                        failures.append(tag | {"stage": "eval", "error": str(exc)})
-                        continue
-                    except Exception as exc:  # noqa: BLE001
-                        failures.append(tag | {"stage": "train", "error": str(exc)})
-                        continue
-                    if variant is Variant.FULL:
-                        full_runs[seed] = record, model
-                    rows.append(tag | {"rmse": repr(record.rmse), "mmd2": repr(record.mmd2)})
-                    run_name = f"{setting.label}_g{graph_id}_{variant.value}_lam{lam}_s{seed}"
-                    _dump_predictions(out / "predictions" / f"{run_name}.csv", case, model)
-                    (out / "models" / f"{run_name}.json").write_text(model.to_json())
-    _write_csv(out / "tradeoff.csv", TRADEOFF_FIELDS, rows)
-    _write_csv(out / "failures.csv", FAILURE_FIELDS, failures)
-    return ExperimentResult(rows=rows, failures=failures)
+    result = ExperimentResult(rows=[], failures=[])
+    # line-buffered: a graph's rows reach the files before the next graph starts
+    with (
+        open(out / "tradeoff.csv", "w", newline="", buffering=1) as rows_fh,
+        open(out / "failures.csv", "w", newline="", buffering=1) as failures_fh,
+    ):
+        rows_csv = csv.DictWriter(rows_fh, TRADEOFF_FIELDS, lineterminator="\n")
+        failures_csv = csv.DictWriter(failures_fh, FAILURE_FIELDS, lineterminator="\n")
+        rows_csv.writeheader()
+        failures_csv.writeheader()
+        for setting_idx, setting in enumerate(cfg.graph_settings):
+            for graph_id in range(setting.count):
+                rows, failures, files = run_graph(cfg, setting_idx, graph_id)
+                for name, text in files.items():
+                    (out / name).write_text(text)
+                rows_csv.writerows(rows)
+                failures_csv.writerows(failures)
+                result.rows += rows
+                result.failures += failures
+    return result
 
 
-def _dump_predictions(path: Path, case: GraphCase, model) -> None:
+def _dump_predictions(case: GraphCase, model) -> str:
     # float reprs never need CSV quoting, so the rows are joined by hand
-    with open(path, "w", newline="") as fh:
-        fh.write("sensitive_value,prediction\n")
-        for s in case.truth_sets:
-            head = f"{float(s.sensitive_value)!r},"
-            values = map(repr, model.predict(s.data).tolist())
-            fh.write(head + ("\n" + head).join(values) + "\n")
-
-
-def _write_csv(path: Path, fields, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fields), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fields})
+    lines = ["sensitive_value,prediction\n"]
+    for s in case.truth_sets:
+        head = f"{float(s.sensitive_value)!r},"
+        values = map(repr, model.predict(s.data).tolist())
+        lines.append(head + ("\n" + head).join(values) + "\n")
+    return "".join(lines)

@@ -160,21 +160,20 @@ def random_er_dag(d: int, s: int, seed: int) -> Pdag:
     return Pdag(names, directed=directed)
 
 
-def _designate(dag: Pdag, rng: np.random.Generator, levels: int | None):
+def _designate(dag: Pdag, rng: np.random.Generator):
     outcome = dag.topological_order()[-1]
     others = [v for v in dag.names if v != outcome]
     sensitive = others[rng.integers(len(others))]
-    if levels is None:
-        levels = int(rng.integers(2, 4))
+    levels = int(rng.integers(2, 4))
     kept = [(a, b) for a, b in dag.directed_edges if b != sensitive]
     trimmed = Pdag(dag.names, directed=kept)
     return trimmed, sensitive, levels, outcome
 
 
-def random_linear_scm(dag: Pdag, seed: int, levels: int | None = None) -> Scm:
+def random_linear_scm(dag: Pdag, seed: int) -> Scm:
     """Designate outcome/sensitive on ``dag`` and draw Uniform(±[0.1, 1]) weights."""
     rng = child_rng(seed, 1)
-    trimmed, sensitive, levels, outcome = _designate(dag, rng, levels)
+    trimmed, sensitive, levels, outcome = _designate(dag, rng)
     weights = {}
     for edge in trimmed.directed_edges:
         magnitude = rng.uniform(0.1, 1.0)
@@ -185,10 +184,10 @@ def random_linear_scm(dag: Pdag, seed: int, levels: int | None = None) -> Scm:
     return Scm(trimmed, weights, noise_std, mechanism, sensitive, levels, outcome)
 
 
-def random_nonlinear_scm(dag: Pdag, seed: int, levels: int | None = None) -> Scm:
+def random_nonlinear_scm(dag: Pdag, seed: int) -> Scm:
     """Unit weights and noise, with a random mechanism per vertex."""
     rng = child_rng(seed, 2)
-    trimmed, sensitive, levels, outcome = _designate(dag, rng, levels)
+    trimmed, sensitive, levels, outcome = _designate(dag, rng)
     tags = tuple(MECHANISMS)
     mechanism = {}
     for v in trimmed.names:
@@ -225,17 +224,12 @@ def _ancestral_sample(
     return {v: columns[v] for v in scm.dag.names}
 
 
-def sample_observational(
-    scm: Scm,
-    n: int,
-    seed: int,
-    split: Sequence[tuple[str, int]] = SPLIT_811,
-) -> Dataset:
-    """Ancestral sample of size ``n`` with split tags (default 8:1:1)."""
+def sample_observational(scm: Scm, n: int, seed: int) -> Dataset:
+    """Ancestral sample of size ``n`` with 8:1:1 train/val/test split tags."""
     if n < 1:
         raise ValueError("need at least one row")
     rng = child_rng(seed, 3)
-    return Dataset(_ancestral_sample(scm, n, rng, {}), split_tags(n, split))
+    return Dataset(_ancestral_sample(scm, n, rng, {}), split_tags(n, SPLIT_811))
 
 
 def sample_interventional_truth(

@@ -5,8 +5,12 @@ refactor that drops or moves one of those names raises ``KeyError`` when the
 hooks are installed. The untraced probe is installed on every run, so such a
 refactor breaks every benchmark run, not only traced ones. Some hooks also
 read call arguments by parameter name, so renaming a parameter breaks them
-the same way.
+the same way. The workloads and output checks also call harness functions
+with positional arguments and read fields of the cases and records they
+return; those are checked here too, so a harness refactor that breaks the
+benchmark fails the tests first.
 """
+import dataclasses
 import inspect
 import sys
 from pathlib import Path
@@ -59,3 +63,30 @@ BOUND_BY_NAME = [
 )
 def test_parameters_the_bench_binds_by_name(owner, attr, names):
     assert names <= set(inspect.signature(vars(owner)[attr]).parameters)
+
+
+CALLED_POSITIONALLY = [
+    (harness, "build_case", ["cfg", "setting_idx", "graph_id"]),
+    (harness, "run_case", ["cfg", "case", "variant", "lam", "seed"]),
+    (harness, "run_plan", ["cfg"]),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, attr, names", CALLED_POSITIONALLY, ids=[attr for _, attr, _ in CALLED_POSITIONALLY]
+)
+def test_parameters_the_bench_passes_by_position(owner, attr, names):
+    assert list(inspect.signature(vars(owner)[attr]).parameters) == names
+
+
+FIELDS_READ = [
+    (harness.GraphCase, {"scm", "mpdag", "candidates", "sensitive", "admissible", "levels",
+                         "setting", "train_sets", "truth_sets"}),
+    (fair_train.InterventionalSet, {"context", "sensitive_value", "data"}),
+    (fair_train.EvalRecord, {"rmse", "mmd2"}),
+]
+
+
+@pytest.mark.parametrize("cls, names", FIELDS_READ, ids=[cls.__name__ for cls, _ in FIELDS_READ])
+def test_fields_the_bench_reads(cls, names):
+    assert names <= {f.name for f in dataclasses.fields(cls)}

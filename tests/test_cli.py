@@ -212,6 +212,18 @@ def test_experiment_missing_cpdag_file_names_path(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def test_experiment_out_that_is_not_a_directory_exits_with_one_line(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"graph_settings": [{"d": 4, "s": 3, "count": 1}]}')
+    out = tmp_path / "notadir"
+    out.write_text("a file\n")
+    done = run_cli(["experiment", str(config), "--out", str(out)])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(f"{out}: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert out.read_text() == "a file\n"
+
+
 def test_cold_import_loads_no_scipy():
     # numpy is the one runtime dependency; scipy alone would double the start-up time
     src = str(Path(fairmpdag.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from fairmpdag.harness import (
     build_case,
     run_case,
     run_experiment,
+    run_graph,
     run_plan,
 )
 from fairmpdag.scm_lab import derive_seed
@@ -390,9 +392,8 @@ class TestRunExperiment:
                 name = f"5nodes6edges_g{gid}_eps_ifair_lam0_s{seed}"
                 written = (tmp_path / "out" / "models" / f"{name}.json").read_text()
                 assert written == model.to_json()
-                _dump_predictions(tmp_path / "trained.csv", case, model)
                 dump = tmp_path / "out" / "predictions" / f"{name}.csv"
-                assert dump.read_bytes() == (tmp_path / "trained.csv").read_bytes()
+                assert dump.read_bytes() == _dump_predictions(case, model).encode()
                 [row] = [
                     r for r in result.rows
                     if (r["graph_id"], r["model"], r["lambda"], r["seed"])
@@ -434,15 +435,92 @@ class TestRunExperiment:
 
     def test_cpdag_dir_files_must_be_mpdags(self, tmp_path):
         # the learned graph is checked where it enters; the derived CPDAG is not
-        text = config_json(setting={"count": 2}, cpdag_dir=str(tmp_path))
-        paths = [tmp_path / f"4nodes3edges_g{gid}.graph" for gid in range(2)]
+        text = config_json(setting={"count": 4}, cpdag_dir=str(tmp_path))
+        paths = [tmp_path / f"4nodes3edges_g{gid}.graph" for gid in range(4)]
         paths[0].write_text("A -> B\nB -- C\n")
         paths[1].write_text("A -- B\nB -- C\nC -- D\nD -- A\n")
+        # graph 2 observes X1, X2 and X4, graph 3 X2, X3 and X4 (the rest is the outcome)
+        paths[2].write_text("X1 -> X2\nA -> B\n")
+        paths[3].write_text("X2 -> X4\n")
         result = run_experiment(ExperimentConfig.from_json(text), tmp_path / "out")
+        observed = "must hold exactly the observed vertices"
         assert [(f["stage"], f["error"]) for f in result.failures] == [
             ("build", f"{paths[0]}: not closed under Meek's rules: they orient B -> C"),
             ("build", f"{paths[1]}: no consistent extension: none of A, B, C, D can come last"),
+            ("build", f"{paths[2]}: {observed}: missing X4; extra A, B"),
+            ("build", f"{paths[3]}: {observed}: missing X3; extra none"),
         ]
+
+
+def _csv_text(fields, rows) -> str:
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def _graph_files(out) -> dict[str, bytes]:
+    """Every file of a sweep's output directory but the two CSVs."""
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in out.glob("*/*")}
+
+
+class TestRunGraph:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # graph 0 has two candidate graphs, graph 1 is a candidate-cap failure
+        {"unidentifiable_mode": True, "max_candidates": 2, "seed": 4},
+    ])
+    def test_touches_no_file_and_returns_what_the_sweep_writes(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        cfg = small_config(**overrides)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        graphs = [run_graph(cfg, 0, gid) for gid in range(2)]
+        assert list(work.iterdir()) == []
+        result = run_experiment(cfg, tmp_path / "out")
+        rows = [row for rows, _, _ in graphs for row in rows]
+        failures = [row for _, failures, _ in graphs for row in failures]
+        files = {name: text.encode() for _, _, files in graphs for name, text in files.items()}
+        assert (result.rows, result.failures) == (rows, failures)
+        assert _graph_files(tmp_path / "out") == files
+        tradeoff = (tmp_path / "out" / "tradeoff.csv").read_text()
+        assert tradeoff == _csv_text(harness.TRADEOFF_FIELDS, rows)
+        written = (tmp_path / "out" / "failures.csv").read_text()
+        assert written == _csv_text(harness.FAILURE_FIELDS, failures)
+
+    def test_interrupted_sweep_keeps_every_finished_graph(self, tmp_path, monkeypatch):
+        cfg = small_config()  # one setting, count=2
+        finished_rows, finished_failures, finished_files = run_graph(cfg, 0, 0)
+        built, build, run = [], harness.build_case, harness.run_case
+
+        def remember(cfg, setting_idx, graph_id):
+            built.append(graph_id)
+            return build(cfg, setting_idx, graph_id)
+
+        def interrupted(*args):
+            if built[-1] == 1:
+                raise KeyboardInterrupt
+            return run(*args)
+
+        monkeypatch.setattr(harness, "build_case", remember)
+        monkeypatch.setattr(harness, "run_case", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg, out)
+        assert built == [0, 1]
+        assert (out / "tradeoff.csv").read_text() == _csv_text(
+            harness.TRADEOFF_FIELDS, finished_rows
+        )
+        assert (out / "failures.csv").read_text() == _csv_text(
+            harness.FAILURE_FIELDS, finished_failures
+        )
+        assert finished_rows and all(row["graph_id"] == 0 for row in finished_rows)
+        assert _graph_files(out) == {
+            name: text.encode() for name, text in finished_files.items()
+        }
 
 
 def test_penalised_run_never_takes_the_exact_kernel(monkeypatch):
@@ -471,8 +549,7 @@ def test_dump_predictions_matches_csv_writer_bytes(tmp_path):
         truth_sets=[SimpleNamespace(sensitive_value=a, data=a) for a in (0.0, 2.0)]
     )
     model = SimpleNamespace(predict=lambda data: preds[data])
-    got = tmp_path / "got.csv"
-    _dump_predictions(got, case, model)
+    got = _dump_predictions(case, model)
 
     expected = tmp_path / "expected.csv"
     with open(expected, "w", newline="") as fh:
@@ -481,20 +558,19 @@ def test_dump_predictions_matches_csv_writer_bytes(tmp_path):
         for s in case.truth_sets:
             for value in model.predict(s.data):
                 writer.writerow([repr(float(s.sensitive_value)), repr(float(value))])
-    assert got.read_bytes() == expected.read_bytes()
+    assert got.encode() == expected.read_bytes()
 
 
-def test_dump_predictions_matches_row_formatter_bytes(tmp_path):
+def test_dump_predictions_matches_row_formatter_bytes():
     # a built case and a trained model: the joined rows equal one formatted
     # line per prediction
     cfg = small_config(train=TrainConfig(epochs=5, patience=5))
     case = build_case(cfg, 0, 0)
     _, model = run_case(cfg, case, Variant.FULL, 0.0, 0)
-    got = tmp_path / "got.csv"
-    _dump_predictions(got, case, model)
+    got = _dump_predictions(case, model)
     expected = "sensitive_value,prediction\n" + "".join(
         f"{float(s.sensitive_value)!r},{v!r}\n"
         for s in case.truth_sets
         for v in model.predict(s.data).tolist()
     )
-    assert got.read_bytes() == expected.encode()
+    assert got == expected
