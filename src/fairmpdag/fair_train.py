@@ -40,8 +40,11 @@ The median-heuristic bandwidth (``median_bandwidth``) is selected by
 sorted-difference selection: the differences s[j] - s[i] (i < j) of the
 sorted values are monotone in both indices, so counts below a threshold are
 search positions and only the differences inside a bracket around the median
-are listed. The result is bit-identical to the median of all pairwise
-squared distances.
+are listed. The bracket comes from the differences of an evenly spaced
+subsample, read at the median rank less the near pairs the subsample cannot
+hold, which removes its bias, and plus and minus 1/m for m subsample values.
+A bracket that misses a median rank falls back to listing every difference.
+The result is bit-identical to the median of all pairwise squared distances.
 """
 from __future__ import annotations
 
@@ -370,13 +373,13 @@ def median_bandwidth(values: np.ndarray) -> float:
     """
     v = np.asarray(values, dtype=float).ravel()
     if len(v) > _BANDWIDTH_SAMPLE:
-        v = v[np.linspace(0, len(v) - 1, _BANDWIDTH_SAMPLE).astype(int)]
+        v = v[_even_index(len(v))]
     n = len(v)
-    if n < 2 or np.isnan(v).any():
+    if n < 2:
         return 1.0
     s = np.sort(v)
-    if s[1] == -np.inf or s[-2] == np.inf:
-        return 1.0  # a repeated infinity: inf - inf is NaN
+    if np.isnan(s[-1]) or s[1] == -np.inf or s[-2] == np.inf:
+        return 1.0  # NaNs sort last; a repeated infinity: inf - inf is NaN
     # the at most two infinite values are an infinite distance from the rest
     finite = s[np.isfinite(s)]
     pairs = n * (n - 1) // 2
@@ -392,48 +395,78 @@ def median_bandwidth(values: np.ndarray) -> float:
     return mean if mean > 0 else 1.0
 
 
+@functools.lru_cache(maxsize=64)
+def _even_index(n: int) -> np.ndarray:
+    """The positions of ``_BANDWIDTH_SAMPLE`` evenly spaced values out of ``n``."""
+    index = np.linspace(0, n - 1, _BANDWIDTH_SAMPLE).astype(int)
+    index.flags.writeable = False
+    return index
+
+
 # ``_select_gaps`` brackets the wanted gaps with the gaps of at most this many
 # evenly spaced sorted values.
 _GAP_SAMPLE = 64
 
 
+@functools.lru_cache(maxsize=_GAP_SAMPLE)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j out of ``m``, in row order."""
+    rows, cols = np.triu_indices(m, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _select_gaps(s, ranks):
     """The ``ranks``-th smallest (from 0, ascending) of the gaps s[j] - s[i],
-    i < j, of the sorted finite values ``s``, as floats.
+    i < j, of the sorted finite values ``s``, as floats; ``ranks`` is one
+    rank or two consecutive ranks.
 
-    The gaps of an even subsample of m values of ``s`` give a bracket: their
-    quantiles at the ranks' share of all gaps, less and plus 2/m. Then
-    ``_gaps_between`` counts the gaps below the bracket and lists those in
-    it, and one partition picks the ranks. A subsample can mislead; if the
-    bracket misses a rank, every gap is listed instead.
+    The gaps of every k-th value of ``s`` (m values, k = ceil(n / 64)) give
+    a bracket: their quantiles at the ranks' share of the gaps, less and
+    plus 1/m. The subsample holds no pair closer than k positions, and those
+    near pairs are mostly small gaps, so the ranks' share is taken after
+    removing them from both the ranks and the gap count; without that the
+    subsample's quantile sits about 1.3 % of all gaps high. ``_gaps_between``
+    counts the gaps below the bracket and lists those in it, and one
+    partition picks the ranks. A subsample can mislead: if the bracket
+    misses a rank, every gap is listed.
     """
     if not ranks:
         return []
-    sub = s[:: math.ceil(len(s) / _GAP_SAMPLE)]
-    sample = np.sort((sub - sub[:, None])[np.triu_indices(len(sub), 1)])
-    pairs = len(s) * (len(s) - 1) // 2
-    margin = 2.0 / len(sub)
-    lo_at = math.floor((ranks[0] / pairs - margin) * len(sample))
-    hi_at = math.ceil((ranks[-1] / pairs + margin) * len(sample))
+    n = len(s)
+    k = math.ceil(n / _GAP_SAMPLE)
+    sub = s[::k]
+    m = len(sub)
+    rows, cols = _upper_pairs(m)
+    sample = sub[cols] - sub[rows]
+    pairs = n * (n - 1) // 2
+    near = (k - 1) * n - k * (k - 1) // 2  # pairs fewer than k positions apart
+    lo_at = math.floor(((ranks[0] - near) / (pairs - near) - 1 / m) * len(sample))
+    hi_at = math.ceil(((ranks[-1] - near) / (pairs - near) + 1 / m) * len(sample))
+    sample = np.partition(sample, [max(lo_at, 0), min(hi_at, len(sample) - 1)])
     lo = sample[lo_at] if lo_at >= 0 else -math.inf
     hi = sample[hi_at] if hi_at < len(sample) else math.inf
     below, band = _gaps_between(s, lo, hi)
     if not below <= ranks[0] <= ranks[-1] < below + len(band):
         below, band = _gaps_between(s, -math.inf, math.inf)
-    picked = np.partition(band, [r - below for r in ranks])
-    return [float(picked[r - below]) for r in ranks]
+    first = ranks[0] - below
+    picked = np.partition(band, first)
+    gaps = [float(picked[first])]
+    if len(ranks) == 2:  # the next rank is the least gap above the first
+        gaps.append(float(picked[first + 1 :].min()))
+    return gaps
 
 
 def _gaps_between(s, lo, hi):
     """The number of gaps s[j] - s[i] (i < j) of the sorted finite values
     ``s`` below ``lo``, and the gaps in [lo, hi], in no particular order."""
-    idx = np.arange(len(s))
-    start = np.maximum(_gap_rank(s, lo, "left"), idx + 1)
-    stop = np.maximum(_gap_rank(s, hi, "right"), idx + 1)
+    after = np.arange(1, len(s) + 1)  # row i starts at column i + 1
+    start = np.maximum(_gap_rank(s, lo, "left"), after)
+    stop = np.maximum(_gap_rank(s, hi, "right"), after)
     counts = stop - start
-    rows = np.repeat(idx, counts)
-    cols = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-    return int((start - idx - 1).sum()), s[cols] - s[rows]
+    ends = np.cumsum(counts)
+    cols = np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)
+    return int((start - after).sum()), s[cols] - np.repeat(s, counts)
 
 
 def _gap_rank(s, t, side):
@@ -444,15 +477,17 @@ def _gap_rank(s, t, side):
     Rounding is monotone, so each row of differences is sorted and the count
     is a search position. Searching ``s`` for s[i] + t rounds that sum, so
     the position is checked against the exact differences on either side of
-    it, and a row that fails the check is counted in full.
+    it (-inf before ``s`` and inf after it), and a row that fails the check
+    is counted in full.
     """
+    if math.isinf(t):  # every finite gap is above -inf and below inf
+        return np.full(len(s), 0 if t < 0 else len(s))
     below = np.less if side == "left" else np.less_equal
     pos = np.searchsorted(s, s + t, side)
-    last = len(s) - 1
-    ok = (pos == 0) | below(s[np.maximum(pos - 1, 0)] - s, t)
-    ok &= (pos > last) | ~below(s[np.minimum(pos, last)] - s, t)
-    wrong = np.flatnonzero(~ok)
-    pos[wrong] = np.count_nonzero(below(s - s[wrong, None], t), axis=1)
+    padded = np.concatenate(([-math.inf], s, [math.inf]))
+    wrong = np.flatnonzero(~below(padded[pos] - s, t) | below(padded[pos + 1] - s, t))
+    if len(wrong):
+        pos[wrong] = np.count_nonzero(below(s - s[wrong, None], t), axis=1)
     return pos
 
 

@@ -364,7 +364,7 @@ def run_graph(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> tuple[l
     rows, failures, files = [], [], {}
     for group, models in enumerate(case.conditionals):
         files[f"models/{label}_g{graph_id}_conditionals_{group}.json"] = models_to_json(models)
-    full_runs = {}  # seed -> (record, model) of the successful Full run
+    full_runs = {}  # seed -> (record, model, dump) of the successful Full run
     for variant, lam in run_plan(cfg):
         for seed in cfg.train.seeds:
             run_seed = derive_seed(cfg.seed, 5, setting_idx, graph_id, seed)
@@ -373,21 +373,24 @@ def run_graph(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> tuple[l
                 if variant is Variant.EPS_IFAIR and lam == 0 and seed in full_runs:
                     # unpenalised on the same features and seed, it is
                     # the Full predictor bit for bit
-                    record, full = full_runs[seed]
+                    record, full, dump = full_runs[seed]
                     model = replace(full, variant=variant, lam=lam)
                 else:
                     record, model = run_case(cfg, case, variant, lam, run_seed)
+                    dump = None
             except NonFiniteMetricError as exc:
                 failures.append(tag | {"stage": "eval", "error": str(exc)})
                 continue
             except Exception as exc:  # noqa: BLE001
                 failures.append(tag | {"stage": "train", "error": str(exc)})
                 continue
+            if dump is None:
+                dump = _dump_predictions(case, model)
             if variant is Variant.FULL:
-                full_runs[seed] = record, model
+                full_runs[seed] = record, model, dump
             rows.append(tag | {"rmse": repr(record.rmse), "mmd2": repr(record.mmd2)})
             run_name = f"{label}_g{graph_id}_{variant.value}_lam{lam}_s{seed}"
-            files[f"predictions/{run_name}.csv"] = _dump_predictions(case, model)
+            files[f"predictions/{run_name}.csv"] = dump
             files[f"models/{run_name}.json"] = model.to_json()
     return rows, failures, files
 
@@ -395,10 +398,14 @@ def run_graph(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> tuple[l
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
     """Run the sweep graph by graph in plan order, writing each graph's files
     under predictions/ and models/, then appending its rows to tradeoff.csv and
-    failures.csv, so an interrupted sweep keeps every finished graph."""
+    failures.csv, so an interrupted sweep keeps every finished graph. Dumps and
+    models of an earlier sweep into ``out_dir`` (named ``<d>nodes<s>edges_g<id>_...``)
+    are removed first; other files there are left alone."""
     out = Path(out_dir)
-    (out / "predictions").mkdir(parents=True, exist_ok=True)
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    for folder, suffix in (("predictions", "csv"), ("models", "json")):
+        (out / folder).mkdir(parents=True, exist_ok=True)
+        for stale in (out / folder).glob(f"*nodes*edges_g*.{suffix}"):
+            stale.unlink()
     result = ExperimentResult(rows=[], failures=[])
     # line-buffered: a graph's rows reach the files before the next graph starts
     with (

@@ -838,6 +838,55 @@ class TestHelpers:
     def test_median_bandwidth_hard_inputs(self, values):
         assert median_bandwidth(values) == triu_median_bandwidth(values)
 
+    @pytest.mark.parametrize(
+        "values, brackets",
+        [
+            (np.random.default_rng(5).normal(size=400), 1),
+            # four spread values between two tie blocks: the subsample holds
+            # only the lowest, so the bracket ends at its gap to the zeros,
+            # 3.0, below the median gap 3 + 1/64, and every gap is listed
+            (np.concatenate([np.zeros(170), 3 + np.arange(4) / 64, np.full(126, 10.0)]), 2),
+            # the tie block of the hard inputs: the bracket misses too
+            (np.concatenate([-1 - np.arange(64) / 400, np.zeros(272), 1 + np.arange(64) / 400]), 2),
+        ],
+    )
+    def test_median_bandwidth_fallback_stages(self, monkeypatch, values, brackets):
+        seen = []
+        gaps_between = fair_train._gaps_between
+        monkeypatch.setattr(fair_train, "_gaps_between",
+                            lambda s, lo, hi: seen.append((lo, hi)) or gaps_between(s, lo, hi))
+        assert median_bandwidth(values) == triu_median_bandwidth(values)
+        assert len(seen) == brackets
+        assert np.isfinite(seen[0][0]) and np.isfinite(seen[0][1])
+        assert (seen[-1] == (-np.inf, np.inf)) == (brackets == 2)
+
+    @given(
+        st.sampled_from([(2, 200), (3, 200), (2, 800), (3, 800)]),
+        st.floats(-3.0, 2.0),
+        st.floats(0.0, 4.0),
+        st.sampled_from([None, 0, 1, 2, 3]),
+        st.floats(0.0, 0.6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((3, 800), 0.0, 1.0, 1, 0.3, 0)
+    @settings(max_examples=80, deadline=None)
+    def test_median_bandwidth_equals_oracle_on_prediction_mixtures(
+        self, shape, log_scale, shift, decimals, tied, seed
+    ):
+        # pooled predictions of one context: 2-3 sensitive levels of 200 or
+        # 800 rows, each level shifted by `shift` spreads, rounded to
+        # `decimals` places and with a share `tied` of its rows at one value
+        levels, rows = shape
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        parts = []
+        for level in range(levels):
+            part = (level * shift + rng.normal(size=rows)) * scale
+            part[rng.random(rows) < tied] = part[0]
+            parts.append(part if decimals is None else np.round(part, decimals))
+        values = np.concatenate(parts)
+        assert median_bandwidth(values) == triu_median_bandwidth(values)
+
     def test_gap_rank_counts_rounded_differences(self):
         rng = np.random.default_rng(17)
         s = np.sort(np.round(rng.uniform(-3, 3, size=40), 1) + 1 / 3)

@@ -330,6 +330,36 @@ class TestRunExperiment:
         conditionals = list((tmp_path / "models").glob("*conditionals*"))
         assert conditionals
 
+    def test_a_second_sweep_into_the_same_directory_leaves_no_stale_run(self, tmp_path):
+        # lambda grid (0, 5) and then (0) into one directory: the second sweep
+        # leaves exactly what it writes into a fresh one, plus files not
+        # named like its own
+        def sweep(grid, out):
+            cfg = small_config(
+                graph_settings=(GraphSetting(d=5, s=6, count=1),),
+                train=TrainConfig(epochs=10, patience=5, lambda_grid=grid),
+            )
+            return run_experiment(cfg, out)
+
+        out = tmp_path / "out"
+        sweep((0, 5.0), out)
+        stale = "5nodes6edges_g0_eps_ifair_lam5.0_s0"
+        assert (out / "predictions" / f"{stale}.csv").exists()
+        assert (out / "models" / f"{stale}.json").exists()
+        (out / "config.json").write_text("{}")
+        (out / "predictions" / "notes.csv").write_text("kept")
+        (out / "models" / "other.json").write_text("kept")
+        result = sweep((0,), out)
+        sweep((0,), tmp_path / "fresh")
+        assert {row["lambda"] for row in result.rows} == {0}
+        kept = _graph_files(out)
+        assert kept.pop("predictions/notes.csv") == b"kept"
+        assert kept.pop("models/other.json") == b"kept"
+        assert kept == _graph_files(tmp_path / "fresh")
+        assert (out / "config.json").read_text() == "{}"
+        fresh = (tmp_path / "fresh" / "tradeoff.csv").read_text()
+        assert (out / "tradeoff.csv").read_text() == fresh
+
     def test_failures_recorded_not_raised(self, tmp_path):
         # an infeasible candidate cap turns unidentifiable graphs into
         # recorded build failures instead of aborting the sweep
@@ -375,6 +405,11 @@ class TestRunExperiment:
             return train(variant, lam, *args, **kwargs)
 
         monkeypatch.setattr(harness, "train_predictor", counted)
+        dumps = []
+        dump_predictions = harness._dump_predictions
+        monkeypatch.setattr(
+            harness, "_dump_predictions", lambda *a: dumps.append(a) or dump_predictions(*a)
+        )
         cfg = small_config(
             train=TrainConfig(epochs=30, patience=15, lambda_grid=(0, 5.0), seeds=(0, 1))
         )
@@ -383,6 +418,7 @@ class TestRunExperiment:
         graphs_and_seeds = cfg.graph_settings[0].count * len(cfg.train.seeds)
         assert len(calls) == graphs_and_seeds * (len(run_plan(cfg)) - 1)
         assert (Variant.EPS_IFAIR, 0) not in calls
+        assert len(dumps) == len(calls)  # the copy reuses the Full run's dump text
         monkeypatch.setattr(harness, "train_predictor", train)
         for gid in range(cfg.graph_settings[0].count):
             case = build_case(cfg, 0, gid)
@@ -538,6 +574,32 @@ def test_penalised_run_never_takes_the_exact_kernel(monkeypatch):
     assert np.isfinite(record.mmd2)
     assert len(exact) == 0
     assert spans and max(spans) <= fair_train._SPAN_CAP
+
+
+@pytest.mark.parametrize("overrides", [
+    # a 3-level sensitive vertex; a 2-level one with two candidate graphs
+    {"graph_settings": (GraphSetting(d=10, s=20, count=1),), "seed": 0},
+    {"graph_settings": (GraphSetting(d=10, s=12, count=1),), "seed": 2,
+     "unidentifiable_mode": True},
+])
+def test_penalised_run_never_lists_every_gap(monkeypatch, overrides):
+    # bench-shaped contexts (1000 rows per sample and interventional set) find
+    # the median gap inside the bias-corrected bracket; listing every gap is
+    # the fallback
+    brackets = []
+    gaps_between = fair_train._gaps_between
+    monkeypatch.setattr(fair_train, "_gaps_between",
+                        lambda s, lo, hi: brackets.append((lo, hi)) or gaps_between(s, lo, hi))
+    cfg = small_config(
+        sample_n=1000, interventional_n=1000,
+        train=TrainConfig(epochs=10, lambda_grid=(5.0,)), **overrides,
+    )
+    case = build_case(cfg, 0, 0)
+    assert (len(case.levels), len(case.candidates)) in ((3, 1), (2, 2))
+    record, _ = run_case(cfg, case, Variant.EPS_IFAIR, 5.0, 0)
+    assert np.isfinite(record.mmd2)
+    assert len(brackets) >= 20
+    assert (-np.inf, np.inf) not in brackets
 
 
 def test_dump_predictions_matches_csv_writer_bytes(tmp_path):
