@@ -1,0 +1,114 @@
+"""Golden sweep outputs: write them, and compare a fresh sweep with them.
+
+Each folder next to this file (``A``, ``B``) holds a sweep's ``config.json``
+and what ``run_experiment`` made from it: ``tradeoff.csv``, ``failures.csv``
+and ``runs.json``, which maps every prediction dump to its sha256 and every
+run's model file to its ``best_epoch``. ``tests/test_golden.py`` reruns the
+sweeps and compares them with ``compare``.
+
+Rewrite every golden after a change that moves numbers, from the repository
+root::
+
+    PYTHONPATH=src python -m tests.golden.regenerate
+
+It prints, per golden, the largest relative deviation of ``rmse`` and
+``mmd2`` from the old files, and how many dumps changed bytes.
+"""
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from fairmpdag.harness import ExperimentConfig, run_experiment
+
+HERE = Path(__file__).parent
+GOLDENS = ("A", "B")
+FLOAT_FIELDS = ("rmse", "mmd2")
+
+
+def run_golden(name: str, out: Path) -> dict:
+    """Run golden ``name``'s config into ``out``; returns its ``runs.json`` record."""
+    cfg = ExperimentConfig.from_json((HERE / name / "config.json").read_text())
+    result = run_experiment(cfg, out)
+    dumps = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((out / "predictions").glob("*.csv"))
+    }
+    epochs = {}
+    for row in result.rows:
+        run = f"{row['setting']}_g{row['graph_id']}_{row['model']}_lam{row['lambda']}_s{row['seed']}"
+        model = json.loads((out / "models" / f"{run}.json").read_text())
+        epochs[f"models/{run}.json"] = model["best_epoch"]
+    return {"dump_sha256": dumps, "best_epoch": epochs}
+
+
+def _rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def compare(name: str, out: Path, runs: dict) -> tuple[list[str], float, str]:
+    """Compare a fresh sweep in ``out`` (with its ``runs.json`` record ``runs``)
+    with golden ``name``.
+
+    Returns the mismatches of anything but a float metric (fields, row order,
+    failures, best epochs, dump names), the largest relative deviation of
+    ``rmse`` and ``mmd2``, and where it was.
+    """
+    golden = HERE / name
+    problems = []
+    worst, where = 0.0, "no rows"
+    want, got = _rows(golden / "tradeoff.csv"), _rows(out / "tradeoff.csv")
+    if len(want) != len(got):
+        problems.append(f"tradeoff.csv: {len(got)} rows, golden has {len(want)}")
+    for i, (w, g) in enumerate(zip(want, got)):
+        fixed = {k: v for k, v in w.items() if k not in FLOAT_FIELDS}
+        if fixed != {k: v for k, v in g.items() if k not in FLOAT_FIELDS}:
+            problems.append(f"tradeoff.csv row {i}: {g} != golden {w}")
+            continue
+        for key in FLOAT_FIELDS:
+            a, b = float(g[key]), float(w[key])
+            dev = abs(a - b) / abs(b) if b else abs(a)
+            if dev >= worst:
+                worst, where = dev, f"row {i} {key}: {a!r} vs golden {b!r}"
+    if (out / "failures.csv").read_text() != (golden / "failures.csv").read_text():
+        problems.append("failures.csv differs")
+    old = json.loads((golden / "runs.json").read_text())
+    if runs["best_epoch"] != old["best_epoch"]:
+        moved = sorted(k for k in old["best_epoch"] | runs["best_epoch"]
+                       if old["best_epoch"].get(k) != runs["best_epoch"].get(k))
+        problems.append(f"best_epoch differs for {moved}")
+    if sorted(runs["dump_sha256"]) != sorted(old["dump_sha256"]):
+        problems.append("the prediction dumps have other names")
+    return problems, worst, where
+
+
+def regenerate(name: str) -> None:
+    """Rewrite golden ``name`` and print how far it moved."""
+    golden = HERE / name
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        runs = run_golden(name, out)
+        if (golden / "runs.json").exists():
+            problems, worst, where = compare(name, out, runs)
+            old = json.loads((golden / "runs.json").read_text())["dump_sha256"]
+            changed = sum(old.get(k) != v for k, v in runs["dump_sha256"].items())
+            print(f"{name}: largest relative deviation {worst:.3g} ({where}); "
+                  f"{changed} of {len(runs['dump_sha256'])} dumps changed bytes")
+            for problem in problems:
+                print(f"{name}: {problem}")
+        else:
+            print(f"{name}: no earlier golden")
+        for csv_name in ("tradeoff.csv", "failures.csv"):
+            shutil.copyfile(out / csv_name, golden / csv_name)
+    (golden / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    for golden_name in sys.argv[1:] or GOLDENS:
+        regenerate(golden_name)

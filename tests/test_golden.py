@@ -1,0 +1,21 @@
+"""Fixed sweeps against their checked-in outputs (``tests/golden``).
+
+Everything but ``rmse`` and ``mmd2`` must match exactly: fields, row order,
+failures, each model's ``best_epoch`` and the dump names. The two metrics
+may move by a relative 1e-9, so the test holds on a BLAS that rounds
+differently; byte identity of the files is checked by regenerating the
+goldens (``python -m tests.golden.regenerate``), which reports changed dumps.
+"""
+import pytest
+
+from .golden.regenerate import GOLDENS, compare, run_golden
+
+TOLERANCE = 1e-9
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_sweep_matches_its_golden(name, tmp_path):
+    runs = run_golden(name, tmp_path)
+    problems, worst, where = compare(name, tmp_path, runs)
+    assert not problems
+    assert worst <= TOLERANCE, f"largest relative deviation {worst:.3g} at {where}"
