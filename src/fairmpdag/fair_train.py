@@ -16,18 +16,20 @@ level slices into a value and adds its gradient with respect to the
 predictions into one output gradient, and training then makes one backward
 pass.
 
-One kernel rule serves the training penalty, the validation pass,
-evaluation and ``mmd2``: ``_context_mmd2`` takes one context's pooled
-predictions. Their level-pair mean MMD^2 is one weighted kernel sum, so its
-value and gradient follow from weighted row moments, which two providers
-compute. A context whose predictions span at most 16 kernel widths
-sqrt(sigma) takes them from one Chebyshev interpolant of the kernel
-(``_interpolated_moments``): the predictions are scalars, and over a span
-of s widths the Gaussian kernel is a rank-p product with p = 16 + ceil(6 s)
-to float64 rounding, so the moments cost O(L n p) instead of O(L^2 n^2). A
-wider context, or one with a NaN or infinite prediction, takes them from
-``_exact_moments``, a loop over row chunks of the whole kernel; at the
-median-heuristic bandwidth no workload measured so far takes it.
+There is one penalty, ``_penalty``, for the training objective, the
+validation pass, evaluation and ``mmd2``: per cell it picks the bandwidth
+(fixed, or the median heuristic on the cell's predictions) and calls
+``_context_mmd2`` on the cell's pooled predictions. Their level-pair mean
+MMD^2 is one weighted kernel sum, so its value and gradient follow from
+weighted row moments, which two providers compute. A context whose
+predictions span at most 16 kernel widths sqrt(sigma) takes them from one
+Chebyshev interpolant of the kernel (``_interpolated_moments``): the
+predictions are scalars, and over a span of s widths the Gaussian kernel is
+a rank-p product with p = 16 + ceil(6 s) to float64 rounding, so the
+moments cost O(L n p) instead of O(L^2 n^2). A wider context, or one with a
+NaN or infinite prediction, takes them from ``_exact_moments``, a loop over
+row chunks of the whole kernel; at the median-heuristic bandwidth no
+workload measured so far takes it.
 
 Precision: everything is float64. The interpolated gradients match
 whole-block float64 sums to 1e-12 in kernel units (the error times
@@ -54,13 +56,13 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import groupby
 
 import numpy as np
 
 from .ancestry import definite_nondescendants
 from .graph_core import Pdag
-from .scm_lab import Dataset, child_rng, sigmoid
+from .scm_lab import Dataset, child_rng
 
 
 class Variant(enum.Enum):
@@ -80,7 +82,6 @@ class TrainConfig:
     lambda_grid: tuple[float, ...] = (0.0, 0.5, 5.0, 20.0, 60.0, 100.0)
     seeds: tuple[int, ...] = (0,)
     bandwidth_mode: str | float = "median"
-    binary_outcome: bool = False
 
     def __post_init__(self):
         _check_int("hidden_width", self.hidden_width, 1)
@@ -96,8 +97,6 @@ class TrainConfig:
         ok = ok and len(set(seeds)) == len(seeds)
         _check("seeds", seeds, ok, "a nonempty list of distinct nonnegative integers")
         _check_bandwidth("bandwidth_mode", self.bandwidth_mode)
-        flag = self.binary_outcome
-        _check("binary_outcome", flag, type(flag) is bool, "a bool")
 
 
 def _is_finite(value) -> bool:
@@ -151,11 +150,10 @@ class FairPredictor:
     weights: dict[str, np.ndarray]
     lam: float
     seed: int
-    binary_outcome: bool = False
     best_epoch: int = 0
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        return _forward(self.weights, x, self.binary_outcome)[0]
+        return _forward(self.weights, x)[0]
 
     def predict(self, data: Dataset) -> np.ndarray:
         return self.predict_matrix(data.matrix(self.features))
@@ -168,7 +166,6 @@ class FairPredictor:
                 "admissible": list(self.admissible),
                 "lambda": self.lam,
                 "seed": self.seed,
-                "binary_outcome": self.binary_outcome,
                 "best_epoch": self.best_epoch,
                 "weights": {k: v.tolist() for k, v in self.weights.items()},
             },
@@ -188,7 +185,6 @@ class FairPredictor:
             weights=weights,
             lam=raw["lambda"],
             seed=raw["seed"],
-            binary_outcome=raw["binary_outcome"],
             best_epoch=raw["best_epoch"],
         )
 
@@ -346,7 +342,8 @@ def _basis(x, t, weights):
 
 def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: str | float) -> float:
     """Biased squared maximum mean discrepancy with kernel exp(-d^2/bandwidth),
-    the bandwidth raised to at least 2^-1000 (``_context_mmd2``).
+    the bandwidth raised to at least 2^-1000 (``_context_mmd2``): the
+    penalty (``_penalty``) of one cell with the two samples as its levels.
 
     ``bandwidth`` is a positive finite number, or ``"median"`` for the median
     heuristic on the pooled samples.
@@ -356,7 +353,8 @@ def mmd2(ya: Iterable[float], yb: Iterable[float], bandwidth: str | float) -> fl
     pb = np.asarray(yb, dtype=float).ravel()
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("samples must be nonempty")
-    return _mmd2_discrepancy(np.concatenate([pa, pb]), [len(pa), len(pb)], False, bandwidth)[0]
+    cell = [slice(0, len(pa)), slice(len(pa), len(pa) + len(pb))]
+    return _penalty(np.concatenate([pa, pb]), [cell], bandwidth, None)
 
 
 _BANDWIDTH_SAMPLE = 512
@@ -533,7 +531,7 @@ def _init_params(n_in: int, hidden: int, rng: np.random.Generator) -> dict[str, 
     }
 
 
-def _forward(params, x, binary: bool):
+def _forward(params, x):
     """Network output and hidden activations for the rows of ``x``.
 
     Works in place, as does ``_backward``: a stacked block has thousands of
@@ -543,15 +541,12 @@ def _forward(params, x, binary: bool):
     hidden = x @ params["w1"]
     hidden += params["b1"]
     np.tanh(hidden, out=hidden)
-    raw = (hidden @ params["w2"] + params["b2"]).ravel()
-    out = sigmoid(raw) if binary else raw
-    return out, hidden
+    return (hidden @ params["w2"] + params["b2"]).ravel(), hidden
 
 
-def _backward(params, x, hidden, out, dout, binary: bool):
+def _backward(params, x, hidden, dout):
     """Parameter gradients given dL/d(output); returns a grad dict."""
-    draw = dout * out * (1.0 - out) if binary else dout
-    dz2 = draw[:, None]
+    dz2 = dout[:, None]
     dhidden = np.square(hidden)
     np.subtract(1.0, dhidden, out=dhidden)
     dhidden *= dz2
@@ -589,78 +584,46 @@ def _stack(x, sets, features, tag):
     return np.concatenate(blocks), cells
 
 
-def _mmd2_discrepancy(pooled, sizes, want_grads, bandwidth_mode):
-    """Mean MMD^2 over the level pairs of one context, bandwidth from the
-    pooled predictions in ``"median"`` mode."""
-    if bandwidth_mode == "median":
-        sigma = median_bandwidth(pooled)
-    else:
-        sigma = float(bandwidth_mode)
-    return _context_mmd2(pooled, sizes, sigma, want_grads)
+def _penalty(out, cells, bandwidth_mode, dout):
+    """Mean over cells of the level-pair mean MMD^2 of each cell's predictions
+    ``out``: the one fairness penalty of training, validation, evaluation and
+    ``mmd2``.
 
-
-def _mean_diff_discrepancy(pooled, sizes, want_grads):
-    """Mean |difference of level means| over the level pairs of one context;
-    the penalty used in the binary-outcome mode."""
-    cuts = np.cumsum(sizes)[:-1]
-    means = [float(p.mean()) for p in np.split(pooled, cuts)]
-    pairs = list(combinations(range(len(sizes)), 2))
-    total = 0.0
-    grad = np.zeros(len(pooled))
-    grads = np.split(grad, cuts)  # views into grad
-    for i, j in pairs:
-        delta = means[i] - means[j]
-        total += abs(delta)
-        sign = np.sign(delta) / len(pairs)
-        grads[i] += sign / sizes[i]
-        grads[j] -= sign / sizes[j]
-    return total / len(pairs), grad if want_grads else None
-
-
-def _penalty(out, cells, discrepancy, dout):
-    """Mean over cells of ``discrepancy`` on each cell's predictions ``out``.
-
-    A cell's level slices are adjacent, so ``discrepancy(pooled, sizes,
-    want_grads)`` gets one view of the cell's rows and the level sizes, and
-    returns the cell's value and, on request, its gradient with respect to
-    those rows. Unless ``dout`` is None, the gradient of the mean is added
-    into its rows.
+    A cell's level slices are adjacent, so ``_context_mmd2`` gets one view of
+    the cell's rows and the level sizes. Its bandwidth is ``bandwidth_mode``,
+    or in ``"median"`` mode the median heuristic on those rows. Unless
+    ``dout`` is None, the gradient of the mean with respect to the predictions
+    is added into the cells' rows of ``dout``.
     """
     total = 0.0
     for slices in cells:
         rows = slice(slices[0].start, slices[-1].stop)
         sizes = [s.stop - s.start for s in slices]
-        value, grad = discrepancy(out[rows], sizes, dout is not None)
+        pooled = out[rows]
+        sigma = median_bandwidth(pooled) if bandwidth_mode == "median" else float(bandwidth_mode)
+        value, grad = _context_mmd2(pooled, sizes, sigma, dout is not None)
         total += value / len(cells)
         if dout is not None:
             dout[rows] += grad / len(cells)
     return total
 
 
-def _objective_and_grads(
-    params, x, y, cells, lam, bandwidth_mode, binary, want_grads=True
-):
+def _objective_and_grads(params, x, y, cells, lam, bandwidth_mode, want_grads=True):
     """MSE on the first ``len(y)`` rows of the stacked block ``x`` plus ``lam``
     times the penalty over ``cells`` (see ``_stack``), from one forward pass
     and, with ``want_grads``, one backward pass."""
-    out, hidden = _forward(params, x, binary)
+    out, hidden = _forward(params, x)
     resid = out[: len(y)] - y
     value = float((resid**2).mean())
     dout = np.zeros(len(out)) if want_grads else None
     if lam > 0 and cells:
-        if binary:
-            discrepancy = _mean_diff_discrepancy
-        else:
-            discrepancy = functools.partial(
-                _mmd2_discrepancy, bandwidth_mode=bandwidth_mode
-            )
-        value += lam * _penalty(out, cells, discrepancy, dout)
+        value += lam * _penalty(out, cells, bandwidth_mode, dout)
         if want_grads:
             dout *= lam  # only the cells' rows are set so far
     if not want_grads:
         return value, None
     dout[: len(y)] = 2.0 * resid / len(y)
-    return value, _backward(params, x, hidden, out, dout, binary)
+    return value, _backward(params, x, hidden, dout)
 
 
 def train_predictor(
@@ -702,15 +665,13 @@ def train_predictor(
     stale = 0
     for epoch in range(config.epochs):
         _, grads = _objective_and_grads(
-            params, x_train, y_train, train_cells, lam, config.bandwidth_mode,
-            config.binary_outcome,
+            params, x_train, y_train, train_cells, lam, config.bandwidth_mode
         )
         for k in params:
             velocity[k] = config.momentum * velocity[k] - config.lr * grads[k]
             params[k] = params[k] + velocity[k]
         val_value, _ = _objective_and_grads(
-            params, x_val, y_val, val_cells, lam, config.bandwidth_mode,
-            config.binary_outcome, want_grads=False,
+            params, x_val, y_val, val_cells, lam, config.bandwidth_mode, want_grads=False
         )
         if val_value < best_val - 1e-12:
             best_val = val_value
@@ -728,7 +689,6 @@ def train_predictor(
         weights=best,
         lam=lam,
         seed=seed,
-        binary_outcome=config.binary_outcome,
         best_epoch=best_epoch,
     )
 
@@ -753,9 +713,7 @@ def evaluate(
     x, cells = _stack(
         obs_test.matrix(model.features), truth_interventional, model.features, "test"
     )
-    out = _forward(model.weights, x, model.binary_outcome)[0]
+    out = _forward(model.weights, x)[0]
     y = obs_test.columns[outcome]
     rmse = float(np.sqrt(((out[: len(y)] - y) ** 2).mean()))
-    mmd = functools.partial(_mmd2_discrepancy, bandwidth_mode=bandwidth_mode)
-    unfairness = _penalty(out, cells, mmd, None)
-    return EvalRecord(rmse=rmse, mmd2=unfairness)
+    return EvalRecord(rmse=rmse, mmd2=_penalty(out, cells, bandwidth_mode, None))

@@ -55,6 +55,14 @@ from .scm_lab import (
 )
 
 
+# The largest float64 array a config may ask for, in bytes. A graph of d
+# vertices takes d x d products in its Meek closure, and a dataset of n rows
+# an n x d block; a config past the bound fails at load, naming the key,
+# instead of exhausting memory in ``build_case``.
+MAX_ARRAY_BYTES = 2**27
+MAX_D = math.isqrt(MAX_ARRAY_BYTES // 8)  # 4096
+
+
 @dataclass(frozen=True)
 class GraphSetting:
     d: int
@@ -63,7 +71,9 @@ class GraphSetting:
     admissible_count: int = 0
 
     def __post_init__(self):
-        _check_int("d", self.d, 2)  # the outcome and the sensitive vertex
+        # at least the outcome and the sensitive vertex
+        _check("d", self.d, type(self.d) is int and 2 <= self.d <= MAX_D,
+               f"an integer in [2, {MAX_D}]")
         most = self.d * (self.d - 1) // 2
         ok = type(self.s) is int and 0 <= self.s <= most
         _check("s", self.s, ok, f"an integer in [0, {most}]")
@@ -104,6 +114,12 @@ class ExperimentConfig:
         # smaller samples leave a split empty: 8:1:1 observational, 8:2 generated
         _check_int("sample_n", self.sample_n, 10)
         _check_int("interventional_n", self.interventional_n, 5)
+        d = max(s.d for s in settings)
+        rows = MAX_ARRAY_BYTES // (8 * d)
+        for name in ("sample_n", "interventional_n"):
+            n = getattr(self, name)
+            _check(name, n, n <= rows, f"at most {rows} (an n x d float64 block "
+                   f"within {MAX_ARRAY_BYTES} bytes at d = {d})")
         fraction = self.bk_fraction
         _check("bk_fraction", fraction, _is_finite(fraction) and 0 <= fraction <= 1, "in [0, 1]")
         kind = self.scm_kind

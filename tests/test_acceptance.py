@@ -242,7 +242,7 @@ def test_criterion_7_mmd_and_gradient():
     y = rng.normal(size=10)
     x = np.concatenate([obs, rng.normal(size=(8, 2)), rng.normal(size=(7, 2)) + 0.4])
     contexts = [[slice(10, 18), slice(18, 25)]]
-    _, grads = _objective_and_grads(params, x, y, contexts, 2.5, 1.3, binary=False)
+    _, grads = _objective_and_grads(params, x, y, contexts, 2.5, 1.3)
     eps, worst_rel = 1e-6, 0.0
     for key in params:
         it = np.nditer(params[key], flags=["multi_index"])
@@ -251,11 +251,11 @@ def test_criterion_7_mmd_and_gradient():
             orig = params[key][idx]
             params[key][idx] = orig + eps
             up, _ = _objective_and_grads(
-                params, x, y, contexts, 2.5, 1.3, binary=False, want_grads=False
+                params, x, y, contexts, 2.5, 1.3, want_grads=False
             )
             params[key][idx] = orig - eps
             dn, _ = _objective_and_grads(
-                params, x, y, contexts, 2.5, 1.3, binary=False, want_grads=False
+                params, x, y, contexts, 2.5, 1.3, want_grads=False
             )
             params[key][idx] = orig
             fd = (up - dn) / (2 * eps)

@@ -509,7 +509,7 @@ class TestGradients:
 
 
 def assert_objective_grads_match_finite_differences(params, x, y, cells, lam, sigma):
-    _, grads = _objective_and_grads(params, x, y, cells, lam, sigma, binary=False)
+    _, grads = _objective_and_grads(params, x, y, cells, lam, sigma)
     eps = 1e-6
     for key in params:
         flat = params[key]
@@ -519,11 +519,11 @@ def assert_objective_grads_match_finite_differences(params, x, y, cells, lam, si
             orig = flat[idx]
             flat[idx] = orig + eps
             up, _ = _objective_and_grads(
-                params, x, y, cells, lam, sigma, binary=False, want_grads=False
+                params, x, y, cells, lam, sigma, want_grads=False
             )
             flat[idx] = orig - eps
             dn, _ = _objective_and_grads(
-                params, x, y, cells, lam, sigma, binary=False, want_grads=False
+                params, x, y, cells, lam, sigma, want_grads=False
             )
             flat[idx] = orig
             fd = (up - dn) / (2 * eps)
@@ -669,41 +669,6 @@ class TestTraining:
             test.split,
         )
         assert np.array_equal(model.predict(perturbed), base)
-
-
-class TestBinaryOutcomeMode:
-    def test_logistic_output_and_mean_diff_penalty(self):
-        rng = np.random.default_rng(431)
-        n = 300
-        a = rng.integers(0, 2, n).astype(float)
-        x = 0.8 * a + rng.standard_normal(n)
-        label = (x + 0.5 * a + 0.3 * rng.standard_normal(n) > 0).astype(float)
-        obs = Dataset({"A": a, "X": x, "Y": label}, split_tags(n, (("train", 8), ("val", 1), ("test", 1))))
-        gen = [
-            InterventionalSet(
-                Dataset(
-                    {"A": np.full(200, float(v)), "X": 0.8 * v + rng.standard_normal(200)},
-                    split_tags(200, (("train", 8), ("val", 2))),
-                ),
-                float(v),
-            )
-            for v in range(2)
-        ]
-        g = parse_graph("A -> X")
-        cfg = TrainConfig(epochs=120, patience=60, binary_outcome=True)
-        fair = train_predictor(
-            Variant.EPS_IFAIR, 50.0, obs, gen, graph=g, sensitive="A", outcome="Y",
-            config=cfg, seed=2,
-        )
-        plain = train_predictor(
-            Variant.EPS_IFAIR, 0.0, obs, gen, graph=g, sensitive="A", outcome="Y",
-            config=cfg, seed=2,
-        )
-        for model in (fair, plain):
-            p = model.predict(obs)
-            assert np.all((p >= 0) & (p <= 1))
-        gap = lambda m: abs(m.predict(gen[0].data).mean() - m.predict(gen[1].data).mean())
-        assert gap(fair) < gap(plain)
 
 
 def constant_predictor_case():

@@ -218,6 +218,10 @@ BAD_CONFIGS = [
     (config_json(setting={"s": 7}), "graph_settings[0]: s must be an integer in [0, 6]"),
     (config_json(setting={"s": -1}), "graph_settings[0]: s must be"),
     (config_json(setting={"count": 0}), "graph_settings[0]: count must be"),
+    # sizes past the load-time bound; loading builds nothing
+    (config_json(setting={"d": 1000000}), "graph_settings[0]: d must be an integer in [2, 4096]"),
+    (config_json(sample_n=10**9), "config: sample_n must be at most 4194304 (an n x d"),
+    (config_json(interventional_n=10**9), "config: interventional_n must be at most 4194304"),
     (config_json(setting={"admissible_count": -1}), "graph_settings[0]: admissible_count must be"),
     # only the d - 2 vertices other than the outcome and the sensitive one
     (
@@ -242,7 +246,8 @@ BAD_CONFIGS = [
     (config_json(train={"lambda_grid": [0.5, 0.5]}), "train: lambda_grid must be"),
     (config_json(train={"lambda_grid": [0, 5, 0.0]}), "train: lambda_grid must be"),
     (config_json(train={"seeds": []}), "train: seeds must be"),
-    (config_json(train={"binary_outcome": 0}), "train: binary_outcome must be"),
+    # the binary-outcome mode is gone, and its key with it
+    (config_json(train={"binary_outcome": False}), "train: unknown key 'binary_outcome'"),
 ]
 
 
@@ -257,6 +262,22 @@ def test_bad_config_names_section_and_key(text, message):
     with pytest.raises(ValueError) as exc:
         ExperimentConfig.from_json(text)
     assert str(exc.value).startswith(message)
+
+
+def test_size_bounds_hold_at_their_limits():
+    d = harness.MAX_D
+    assert 8 * d * d <= harness.MAX_ARRAY_BYTES < 8 * (d + 1) ** 2
+    rows = harness.MAX_ARRAY_BYTES // (8 * d)
+    cfg = ExperimentConfig.from_json(
+        config_json(setting={"d": d}, sample_n=rows, interventional_n=rows)
+    )
+    assert (cfg.graph_settings[0].d, cfg.sample_n, cfg.interventional_n) == (d, rows, rows)
+    for key in ("sample_n", "interventional_n"):
+        # the largest d of all settings sets the row bound
+        raw = json.loads(config_json(**{key: rows + 1}))
+        raw["graph_settings"].append({"d": d, "s": 3, "count": 1})
+        with pytest.raises(ValueError, match=f"config: {key} must be at most {rows} "):
+            ExperimentConfig.from_json(json.dumps(raw))
 
 
 class TestRunExperiment:
