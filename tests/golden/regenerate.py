@@ -1,10 +1,17 @@
-"""Golden sweep outputs: write them, and compare a fresh sweep with them.
+"""Golden sweep outputs and graphs: write them, and compare fresh ones with them.
 
 Each folder next to this file (``A``, ``B``) holds a sweep's ``config.json``
 and what ``run_experiment`` made from it: ``tradeoff.csv``, ``failures.csv``
 and ``runs.json``, which maps every prediction dump to its sha256 and every
 run's model file to its ``best_epoch``. ``tests/test_golden.py`` reruns the
 sweeps and compares them with ``compare``.
+
+``graphs.json`` holds the graph layer's answers on twelve ``build_case``
+graphs shaped like the benchmark's graph-scale workload (d = 30, 60, 120,
+s = 3d/2, two admissible vertices, ``bk_fraction`` 0.5, config seeds 0-3):
+the true DAG's CPDAG, the MPDAG, the sensitive vertex's critical set for
+every other vertex and the IFair feature set. ``tests/test_golden.py``
+compares ``graph_records()`` with it exactly.
 
 Rewrite every golden after a change that moves numbers, from the repository
 root::
@@ -24,11 +31,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fairmpdag.harness import ExperimentConfig, run_experiment
+from fairmpdag.ancestry import critical_set
+from fairmpdag.fair_train import Variant, feature_set
+from fairmpdag.harness import ExperimentConfig, GraphSetting, build_case, run_experiment
+from fairmpdag.meek_engine import cpdag_from_dag
 
 HERE = Path(__file__).parent
 GOLDENS = ("A", "B")
 FLOAT_FIELDS = ("rmse", "mmd2")
+GRAPHS = HERE / "graphs.json"
 
 
 def run_golden(name: str, out: Path) -> dict:
@@ -109,6 +120,41 @@ def regenerate(name: str) -> None:
     (golden / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
 
 
+def graph_records() -> list[dict]:
+    """The graph layer's answers on the graph-golden cases, in ``graphs.json``'s form."""
+    records = []
+    for d in (30, 60, 120):
+        for seed in range(4):
+            cfg = ExperimentConfig((GraphSetting(d, 3 * d // 2, 1, 2),), seed=seed, bk_fraction=0.5)
+            case = build_case(cfg, 0, 0)
+            g, s = case.mpdag, case.sensitive
+            records.append({
+                "d": d,
+                "seed": seed,
+                "sensitive": s,
+                "cpdag": cpdag_from_dag(case.scm.dag.induced_subgraph(g.names)).to_text(),
+                "mpdag": g.to_text(),
+                "critical_sets": {t: list(critical_set(g, s, t)) for t in g.names if t != s},
+                "ifair_features": list(feature_set(Variant.IFAIR, g, s, case.admissible)),
+            })
+    return records
+
+
+def regenerate_graphs() -> None:
+    """Rewrite ``graphs.json`` and print how many graphs changed."""
+    records = graph_records()
+    if GRAPHS.exists():
+        old = json.loads(GRAPHS.read_text())
+        changed = sum(a != b for a, b in zip(old, records)) + abs(len(old) - len(records))
+        print(f"graphs: {changed} of {len(records)} graphs changed")
+    else:
+        print("graphs: no earlier golden")
+    GRAPHS.write_text(json.dumps(records, indent=1) + "\n")
+
+
 if __name__ == "__main__":
-    for golden_name in sys.argv[1:] or GOLDENS:
-        regenerate(golden_name)
+    for golden_name in sys.argv[1:] or (*GOLDENS, "graphs"):
+        if golden_name == "graphs":
+            regenerate_graphs()
+        else:
+            regenerate(golden_name)
