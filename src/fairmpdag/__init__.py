@@ -9,7 +9,7 @@ generation, and MMD-penalized fair training with an experiment harness.
 from .ancestry import (
     AncestralRelation,
     ancestral_relation,
-    critical_set,
+    critical_sets,
     definite_nondescendants,
 )
 from .causal_ident import (
@@ -48,7 +48,6 @@ from .graph_core import (
     bucket_decomposition,
     parents,
     parse_graph,
-    unshielded_colliders,
 )
 from .harness import ExperimentConfig, GraphSetting, build_case, run_experiment
 from .meek_engine import (

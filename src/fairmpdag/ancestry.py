@@ -24,33 +24,26 @@ class AncestralRelation(enum.Enum):
     POSSIBLE_DESCENDANT = "possible_descendant"
 
 
-def critical_set(g: Pdag, s: str, t: str) -> tuple[str, ...]:
-    """Neighbors of ``s`` on at least one chordless possibly-causal path to ``t``.
+def critical_sets(g: Pdag, s: str) -> dict[str, tuple[str, ...]]:
+    """For every other vertex ``t``, the neighbors of ``s`` on at least one
+    chordless possibly-causal path to ``t``.
 
-    Breadth-first search over (first-edge neighbor, previous, current)
+    One breadth-first search over (first-edge neighbor, previous, current)
     triples. A step from ``cur`` to ``beta`` follows a directed or undirected
     edge, must keep the walk locally chordless (``beta`` nonadjacent to the
     previous vertex unless the step is directed) and must stay outside the
-    neighborhood of ``s``. Once a first-edge neighbor reaches ``t`` its
-    remaining triples are discarded.
+    neighborhood of ``s``. The step rule never reads the target, so ``t``'s
+    critical set is the first-edge neighbors of the triples that reach it.
     """
-    si, ti = g.index(s), g.index(t)
-    if si == ti:
-        raise GraphError("source and target must differ")
+    si = g.index(s)
     dmat, umat, adj = g.directed_mask, g.undirected_mask, g.adjacency_mask
     forward = dmat | umat
-    found: set[int] = set()
-    start = [a for a in np.flatnonzero(forward[si])]
-    queue: deque[tuple[int, int, int]] = deque((a, si, a) for a in start)
+    reached = np.zeros((g.n, g.n), dtype=bool)  # [first-edge neighbor, vertex]
+    queue: deque[tuple[int, int, int]] = deque((a, si, a) for a in np.flatnonzero(forward[si]))
     seen: set[tuple[int, int, int]] = set(queue)
     while queue:
         alpha, phi, tau = queue.popleft()
-        if alpha in found:
-            continue
-        if tau == ti:
-            found.add(alpha)
-            queue = deque(item for item in queue if item[0] != alpha)
-            continue
+        reached[alpha, tau] = True
         for beta in np.flatnonzero(forward[tau]):
             if beta == si or adj[beta, si]:
                 continue
@@ -60,12 +53,15 @@ def critical_set(g: Pdag, s: str, t: str) -> tuple[str, ...]:
             if triple not in seen:
                 seen.add(triple)
                 queue.append(triple)
-    return g.sort_vertices(g.names[a] for a in found)
+    return {t: tuple(g.names[a] for a in np.flatnonzero(reached[:, ti]))
+            for ti, t in enumerate(g.names) if ti != si}
 
 
 def ancestral_relation(g: Pdag, s: str, t: str) -> AncestralRelation:
     """Classify ``t`` relative to ``s`` across every DAG the graph represents."""
-    crit = critical_set(g, s, t)
+    if g.index(s) == g.index(t):
+        raise GraphError("source and target must differ")
+    crit = critical_sets(g, s)[t]
     if not crit:
         return AncestralRelation.DEFINITE_NON_DESCENDANT
     if any(g.has_directed(s, c) for c in crit):
@@ -83,5 +79,5 @@ def _induces_incomplete(g: Pdag, nodes: tuple[str, ...]) -> bool:
 
 def definite_nondescendants(g: Pdag, s: str) -> tuple[str, ...]:
     """All vertices that are non-descendants of ``s`` in every member DAG:
-    those with an empty critical set."""
-    return tuple(t for t in g.names if t != s and not critical_set(g, s, t))
+    those with an empty critical set, from one search."""
+    return tuple(t for t, crit in critical_sets(g, s).items() if not crit)

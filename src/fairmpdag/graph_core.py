@@ -306,25 +306,6 @@ def parse_graph(text: str) -> Pdag:
 # -- structural operations ---------------------------------------------------
 
 
-def unshielded_colliders(g: Pdag) -> set[tuple[str, str, str]]:
-    """All triples (u, mid, v) with u -> mid <- v and u, v nonadjacent.
-
-    Only directed edges form colliders, so on a PDAG this is the collider set
-    of its directed part; on a DAG it is the usual one. Triples are
-    canonicalized with index(u) < index(v).
-    """
-    out: set[tuple[str, str, str]] = set()
-    dmat, adj = g.directed_mask, g.adjacency_mask
-    for m in range(g.n):
-        pa = np.flatnonzero(dmat[:, m])
-        for ai in range(len(pa)):
-            for bi in range(ai + 1, len(pa)):
-                u, v = pa[ai], pa[bi]
-                if not adj[u, v]:
-                    out.add((g.names[u], g.names[m], g.names[v]))
-    return out
-
-
 def bucket_decomposition(g: Pdag, nodes: Iterable[str]) -> tuple[frozenset[str], ...]:
     """Partition ``nodes`` into maximal undirected-connected components.
 

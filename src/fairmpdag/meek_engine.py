@@ -20,7 +20,6 @@ from .graph_core import (
     GraphParseError,
     Pdag,
     _content_lines,
-    unshielded_colliders,
 )
 
 
@@ -39,13 +38,17 @@ class OrientationConflictError(GraphError):
     """Rule closure demanded both directions of one edge (inconsistent input)."""
 
 
-def _fires_r1(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    # a -> b, b - c, a and c nonadjacent  =>  b -> c
+def _witnessed(dmat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """[b, c] is set iff some a -> b has a and c distinct and nonadjacent."""
     n = adj.shape[0]
     nonadj = ~adj & ~np.eye(n, dtype=bool)
     # witness counts in float64: exact up to 2**53, where uint8 wraps at 256
-    counts = dmat.T.astype(float) @ nonadj.astype(float)
-    return umat & (counts > 0)
+    return (dmat.T.astype(float) @ nonadj.astype(float)) > 0
+
+
+def _fires_r1(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    # a -> b, b - c, a and c nonadjacent  =>  b -> c
+    return umat & _witnessed(dmat, adj)
 
 
 def _fires_r2(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
@@ -149,12 +152,9 @@ def pattern_of_dag(d: Pdag) -> Pdag:
     """Skeleton of a DAG with exactly the unshielded-collider edges re-directed."""
     if not d.is_dag():
         raise GraphError("graph is not fully directed")
-    colliders = unshielded_colliders(d)
-    n = d.n
-    dmat = np.zeros((n, n), dtype=bool)
-    for u, mid, v in colliders:
-        dmat[d.index(u), d.index(mid)] = True
-        dmat[d.index(v), d.index(mid)] = True
+    # u -> m is in an unshielded collider iff another parent of m is
+    # nonadjacent to u: R1's witness matrix, transposed
+    dmat = d.directed_mask & _witnessed(d.directed_mask, d.adjacency_mask).T
     umat = (d.directed_mask | d.directed_mask.T) & ~(dmat | dmat.T)
     return Pdag.from_arrays(d.names, dmat, umat)
 

@@ -146,17 +146,21 @@ def random_er_dag(d: int, s: int, seed: int) -> Pdag:
     """Uniform DAG with ``d`` vertices and exactly ``s`` edges.
 
     A random vertex permutation fixes a topological order; ``s`` of the
-    d(d-1)/2 order-respecting pairs are chosen uniformly.
+    d(d-1)/2 order-respecting pairs are chosen uniformly. Rank k is the k-th
+    pair (i, j), i < j, of positions in that order, row by row, so a rank
+    maps to its pair without listing the pairs.
     """
     max_edges = d * (d - 1) // 2
     if not 0 <= s <= max_edges:
         raise ValueError(f"cannot place {s} edges on {d} vertices")
     rng = child_rng(seed, 0)
     order = rng.permutation(d)
-    pairs = [(order[i], order[j]) for i in range(d) for j in range(i + 1, d)]
-    chosen = rng.choice(max_edges, size=s, replace=False) if s else []
+    chosen = rng.choice(max_edges, size=s, replace=False)
+    row_ends = np.cumsum(np.arange(d - 1, 0, -1))  # row i holds d - 1 - i pairs
+    rows = np.searchsorted(row_ends, chosen, side="right")
+    cols = chosen - (row_ends[rows] - (d - 1 - rows)) + rows + 1
     names = [f"X{i + 1}" for i in range(d)]
-    directed = [(names[pairs[k][0]], names[pairs[k][1]]) for k in sorted(chosen)]
+    directed = [(names[order[i]], names[order[j]]) for i, j in zip(rows, cols)]
     return Pdag(names, directed=directed)
 
 

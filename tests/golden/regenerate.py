@@ -31,7 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fairmpdag.ancestry import critical_set
+from fairmpdag.ancestry import critical_sets
 from fairmpdag.fair_train import Variant, feature_set
 from fairmpdag.harness import ExperimentConfig, GraphSetting, build_case, run_experiment
 from fairmpdag.meek_engine import cpdag_from_dag
@@ -134,7 +134,7 @@ def graph_records() -> list[dict]:
                 "sensitive": s,
                 "cpdag": cpdag_from_dag(case.scm.dag.induced_subgraph(g.names)).to_text(),
                 "mpdag": g.to_text(),
-                "critical_sets": {t: list(critical_set(g, s, t)) for t in g.names if t != s},
+                "critical_sets": {t: list(crit) for t, crit in critical_sets(g, s).items()},
                 "ifair_features": list(feature_set(Variant.IFAIR, g, s, case.admissible)),
             })
     return records

@@ -21,7 +21,6 @@ from fairmpdag import (
     is_identifiable,
     median_bandwidth,
     random_er_dag,
-    unshielded_colliders,
 )
 from fairmpdag.meek_engine import _closure_arrays
 
@@ -45,7 +44,7 @@ def all_dags(n: int):
 
 def class_key(d: Pdag):
     skel = tuple(sorted(tuple(sorted(e)) for e in d.directed_edges))
-    return skel, frozenset(unshielded_colliders(d))
+    return skel, pdag_colliders(d)
 
 
 def union_graph(members: list[Pdag]) -> Pdag:
@@ -64,6 +63,11 @@ def union_graph(members: list[Pdag]) -> Pdag:
 
 
 def pdag_colliders(g: Pdag) -> frozenset:
+    """Triples (u, m, v) with u -> m <- v and u, v nonadjacent, index(u) < index(v).
+
+    Only directed edges form colliders, so on a PDAG this is the collider set
+    of its directed part.
+    """
     out = set()
     for m in g.names:
         pa = g.parents_of(m)
@@ -71,6 +75,26 @@ def pdag_colliders(g: Pdag) -> frozenset:
             if not g.adjacent(u, v):
                 out.add((u, m, v) if g.index(u) < g.index(v) else (v, m, u))
     return frozenset(out)
+
+
+def collider_pattern(d: Pdag) -> Pdag:
+    """A DAG's pattern from its ``pdag_colliders``: collider edges stay
+    directed, every other edge becomes undirected."""
+    colliders = pdag_colliders(d)
+    kept = {(u, m) for u, m, _ in colliders} | {(v, m) for _, m, v in colliders}
+    rest = [e for e in d.directed_edges if e not in kept]
+    return Pdag(d.names, directed=sorted(kept), undirected=rest)
+
+
+def listed_er_dag(d: int, s: int, seed: int) -> Pdag:
+    """``random_er_dag`` from the same draws by listing all d(d-1)/2 pairs."""
+    rng = child_rng(seed, 0)
+    order = rng.permutation(d)
+    pairs = [(order[i], order[j]) for i in range(d) for j in range(i + 1, d)]
+    chosen = rng.choice(len(pairs), size=s, replace=False) if s else []
+    names = [f"X{i + 1}" for i in range(d)]
+    directed = [(names[pairs[k][0]], names[pairs[k][1]]) for k in sorted(chosen)]
+    return Pdag(names, directed=directed)
 
 
 def naive_extensions(g: Pdag) -> list[Pdag]:
@@ -248,7 +272,7 @@ def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
     """
     if g.n > 12:
         raise GraphError("class enumeration guarded to graphs with <= 12 vertices")
-    target = unshielded_colliders(g)
+    target = pdag_colliders(g)
     out: list[Pdag] = []
 
     def descend(dmat: np.ndarray, umat: np.ndarray) -> None:
@@ -258,7 +282,7 @@ def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
                 d = Pdag.from_arrays(g.names, dmat, umat)
             except GraphError:
                 return
-            if unshielded_colliders(d) == target:
+            if pdag_colliders(d) == target:
                 out.append(d)
             return
         i, j = pairs[0]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmpdag import (
     AncestralRelation,
     GraphError,
     ancestral_relation,
-    critical_set,
+    critical_sets,
     cpdag_from_dag,
     construct_mpdag,
     definite_nondescendants,
@@ -26,25 +28,25 @@ def bk_demo_mpdag(bk_demo_dag):
     return construct_mpdag(cpdag_from_dag(bk_demo_dag), BK_DEMO_KNOWLEDGE)
 
 
-class TestCriticalSet:
+class TestCriticalSets:
     def test_unique_causal_chain(self):
         g = parse_graph("A -> X\nX -> T")
-        assert critical_set(g, "A", "T") == ("X",)
+        assert critical_sets(g, "A") == {"X": ("X",), "T": ("X",)}
 
     def test_no_path_gives_empty_set(self):
         g = parse_graph("A -> X\nnode T")
-        assert critical_set(g, "A", "T") == ()
+        assert critical_sets(g, "A")["T"] == ()
 
     def test_bk_demo_non_descendant(self, bk_demo_mpdag):
-        assert critical_set(bk_demo_mpdag, "A", "E") == ()
+        assert critical_sets(bk_demo_mpdag, "A")["E"] == ()
 
     def test_adjacent_target(self):
-        assert critical_set(parse_graph("A -> X"), "A", "X") == ("X",)
-        assert critical_set(parse_graph("A -- X"), "A", "X") == ("X",)
+        assert critical_sets(parse_graph("A -> X"), "A") == {"X": ("X",)}
+        assert critical_sets(parse_graph("A -- X"), "A") == {"X": ("X",)}
 
     def test_same_vertex_rejected(self, star_triangle):
         with pytest.raises(GraphError):
-            critical_set(star_triangle, "A", "A")
+            ancestral_relation(star_triangle, "A", "A")
 
     def test_subset_of_neighbors_and_matches_path_oracle(self):
         rng = np.random.default_rng(61)
@@ -52,9 +54,22 @@ class TestCriticalSet:
             _, _, g = random_mpdag(rng, max_n=7)
             names = list(g.names)
             s, t = names[0], names[-1]
-            got = set(critical_set(g, s, t))
+            got = set(critical_sets(g, s)[t])
             assert got <= {v for v in names if g.adjacent(s, v)}
             assert got == chordless_possibly_causal_first_steps(g, s, t)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_one_search_gives_every_targets_critical_set(seed):
+    # the DAG, its CPDAG and an MPDAG between them, every ordered pair
+    for g in random_mpdag(np.random.default_rng(seed)):
+        for s in g.names:
+            crit = critical_sets(g, s)
+            assert list(crit) == [t for t in g.names if t != s]
+            for t in crit:
+                assert set(crit[t]) == chordless_possibly_causal_first_steps(g, s, t)
+                assert crit[t] == g.sort_vertices(crit[t])
 
 
 class TestAncestralRelation:

@@ -12,13 +12,14 @@ from fairmpdag import (
     cpdag_from_dag,
     parents,
     parse_graph,
+    pattern_of_dag,
     random_er_dag,
-    unshielded_colliders,
 )
 
 from .oracles import (
     exists_proper_possibly_causal_path_starting_undirected,
     exists_start_undirected_path,
+    pdag_colliders,
     random_mpdag,
     siblings,
 )
@@ -144,19 +145,23 @@ def test_from_arrays_copies_a_graph_exactly(seed):
 
 class TestUnshieldedColliders:
     def test_collider(self):
-        assert unshielded_colliders(parse_graph("X -> Z\nY -> Z")) == {("X", "Z", "Y")}
+        g = parse_graph("X -> Z\nY -> Z")
+        assert pattern_of_dag(g) == g
 
     def test_chain(self):
-        assert unshielded_colliders(parse_graph("X -> Y\nY -> Z")) == set()
+        assert pattern_of_dag(parse_graph("X -> Y\nY -> Z")) == parse_graph("X -- Y\nY -- Z")
 
     def test_complete_dag_has_none(self, star_triangle_dag):
-        # every collider in a complete graph is shielded
-        assert unshielded_colliders(star_triangle_dag) == set()
+        # every collider in a complete graph is shielded: the pattern is the skeleton
+        pattern = pattern_of_dag(star_triangle_dag)
+        assert not pattern.directed_edges and len(pattern.undirected_edges) == 6
 
     def test_pdag_colliders_come_from_directed_edges_only(self):
         # W - Z and V - X would be colliders at Z and X if they were directed
         g = parse_graph("X -> Z\nY -> Z\nW -- Z\nV -- X")
-        assert unshielded_colliders(g) == {("X", "Z", "Y")}
+        assert pdag_colliders(g) == {("X", "Z", "Y")}
+        with pytest.raises(GraphError, match="not fully directed"):
+            pattern_of_dag(g)
 
 
 class TestStartUndirectedPath:

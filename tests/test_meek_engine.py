@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmpdag import (
@@ -25,6 +25,7 @@ from .conftest import BK_DEMO_KNOWLEDGE
 from .oracles import (
     all_dags,
     class_key,
+    collider_pattern,
     naive_extensions,
     random_mpdag,
     sequential_meek_closure,
@@ -117,6 +118,14 @@ def er_dags(draw, max_d=12):
     d = draw(st.integers(2, max_d))
     s = draw(st.integers(0, d * (d - 1) // 2))
     return random_er_dag(d, s, draw(st.integers(0, 2**32 - 1)))
+
+
+@given(er_dags(max_d=25))
+@example(random_er_dag(25, 0, seed=1))
+@example(random_er_dag(25, 300, seed=1))  # complete
+@settings(max_examples=100, deadline=None)
+def test_pattern_keeps_exactly_the_collider_edges(dag):
+    assert pattern_of_dag(dag) == collider_pattern(dag)
 
 
 @given(er_dags(), st.integers(0, 2**32 - 1))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from fairmpdag import (
 )
 from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, child_rng, sigmoid, split_tags
 
-from .oracles import permutation_null_quantile, two_branch_sample
+from .oracles import listed_er_dag, permutation_null_quantile, two_branch_sample
 
 
 # noise scales and identity mechanisms for the two-vertex graph A -> X
@@ -63,6 +64,24 @@ class TestRandomErDag:
     def test_seed_determinism(self):
         assert random_er_dag(6, 9, seed=5) == random_er_dag(6, 9, seed=5)
         assert random_er_dag(6, 9, seed=5) != random_er_dag(6, 9, seed=6)
+
+    @given(st.integers(0, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_same_graphs_as_listing_every_pair(self, d, seed):
+        for s in range(d * (d - 1) // 2 + 1):
+            assert random_er_dag(d, s, seed) == listed_er_dag(d, s, seed)
+
+    def test_few_edges_on_many_vertices_list_no_pairs(self):
+        # listing all 1,999,000 pairs of d = 2000 as tuples peaks above 200 MiB;
+        # the graph's own n x n mark matrices take 4 MB each
+        tracemalloc.start()
+        try:
+            g = random_er_dag(2000, 3, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.directed_edges) == 3
+        assert peak < 48 * 2**20
 
 
 class TestRandomScm:
