@@ -9,9 +9,9 @@ sweeps and compares them with ``compare``.
 ``graphs.json`` holds the graph layer's answers on twelve ``build_case``
 graphs shaped like the benchmark's graph-scale workload (d = 30, 60, 120,
 s = 3d/2, two admissible vertices, ``bk_fraction`` 0.5, config seeds 0-3):
-the true DAG's CPDAG, the MPDAG, the sensitive vertex's critical set for
-every other vertex and the IFair feature set. ``tests/test_golden.py``
-compares ``graph_records()`` with it exactly.
+the true DAG's CPDAG, the MPDAG, the sensitive vertex's critical set and
+ancestral relation for every other vertex, and the IFair feature set.
+``tests/test_golden.py`` compares ``graph_records()`` with it exactly.
 
 Rewrite every golden after a change that moves numbers, from the repository
 root::
@@ -31,7 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fairmpdag.ancestry import critical_sets
+from fairmpdag.ancestry import ancestral_relation, critical_sets
 from fairmpdag.fair_train import Variant, feature_set
 from fairmpdag.harness import ExperimentConfig, GraphSetting, build_case, run_experiment
 from fairmpdag.meek_engine import cpdag_from_dag
@@ -135,6 +135,7 @@ def graph_records() -> list[dict]:
                 "cpdag": cpdag_from_dag(case.scm.dag.induced_subgraph(g.names)).to_text(),
                 "mpdag": g.to_text(),
                 "critical_sets": {t: list(crit) for t, crit in critical_sets(g, s).items()},
+                "relations": {t: ancestral_relation(g, s, t).value for t in g.names if t != s},
                 "ifair_features": list(feature_set(Variant.IFAIR, g, s, case.admissible)),
             })
     return records
