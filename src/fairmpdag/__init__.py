@@ -8,7 +8,7 @@ generation, and MMD-penalized fair training with an experiment harness.
 
 from .ancestry import (
     AncestralRelation,
-    ancestral_relation,
+    ancestral_relations,
     critical_sets,
     definite_nondescendants,
 )

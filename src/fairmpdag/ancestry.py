@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from .graph_core import GraphError, Pdag
+from .graph_core import Pdag
 
 
 class AncestralRelation(enum.Enum):
@@ -57,18 +57,18 @@ def critical_sets(g: Pdag, s: str) -> dict[str, tuple[str, ...]]:
             for ti, t in enumerate(g.names) if ti != si}
 
 
-def ancestral_relation(g: Pdag, s: str, t: str) -> AncestralRelation:
-    """Classify ``t`` relative to ``s`` across every DAG the graph represents."""
-    if g.index(s) == g.index(t):
-        raise GraphError("source and target must differ")
-    crit = critical_sets(g, s)[t]
-    if not crit:
-        return AncestralRelation.DEFINITE_NON_DESCENDANT
-    if any(g.has_directed(s, c) for c in crit):
-        return AncestralRelation.DEFINITE_DESCENDANT
-    if _induces_incomplete(g, crit):
-        return AncestralRelation.DEFINITE_DESCENDANT
-    return AncestralRelation.POSSIBLE_DESCENDANT
+def ancestral_relations(g: Pdag, s: str) -> dict[str, AncestralRelation]:
+    """Classify every other vertex relative to ``s`` across every DAG the
+    graph represents, from one ``critical_sets`` search."""
+    relations = {}
+    for t, crit in critical_sets(g, s).items():
+        if not crit:
+            relations[t] = AncestralRelation.DEFINITE_NON_DESCENDANT
+        elif any(g.has_directed(s, c) for c in crit) or _induces_incomplete(g, crit):
+            relations[t] = AncestralRelation.DEFINITE_DESCENDANT
+        else:
+            relations[t] = AncestralRelation.POSSIBLE_DESCENDANT
+    return relations
 
 
 def _induces_incomplete(g: Pdag, nodes: tuple[str, ...]) -> bool:

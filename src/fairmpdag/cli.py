@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .ancestry import AncestralRelation, ancestral_relation
+from .ancestry import AncestralRelation, ancestral_relations
 from .causal_ident import (
     enumerate_valid_orientations,
     identification_formula,
@@ -76,17 +76,18 @@ def cmd_identify(args) -> int:
         print(formula.as_text())
         print("identifiable")
     else:
-        candidates = enumerate_valid_orientations(g, intervened)
-        print(f"not identifiable: {len(candidates)} candidate MPDAGs")
+        cap = ExperimentConfig.max_candidates  # the sweep's default cap
+        count = len(enumerate_valid_orientations(g, intervened, limit=cap + 1))
+        bound = f"more than {cap}" if count > cap else count
+        print(f"not identifiable: {bound} candidate MPDAGs")
     return 0
 
 
 def cmd_relations(args) -> int:
     g = _load(args.graph, _parse_mpdag)
     groups = {kind: [] for kind in AncestralRelation}
-    for t in g.names:
-        if t != args.sensitive:
-            groups[ancestral_relation(g, args.sensitive, t)].append(t)
+    for t, kind in ancestral_relations(g, args.sensitive).items():
+        groups[kind].append(t)
     for kind in AncestralRelation:
         print(f"{kind.value}: {','.join(g.sort_vertices(groups[kind]))}")
     return 0

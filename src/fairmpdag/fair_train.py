@@ -81,7 +81,6 @@ class TrainConfig:
     patience: int = 100
     lambda_grid: tuple[float, ...] = (0.0, 0.5, 5.0, 20.0, 60.0, 100.0)
     seeds: tuple[int, ...] = (0,)
-    bandwidth_mode: str | float = "median"
 
     def __post_init__(self):
         _check_int("hidden_width", self.hidden_width, 1)
@@ -96,7 +95,6 @@ class TrainConfig:
         ok = isinstance(seeds, tuple) and seeds and all(type(x) is int and x >= 0 for x in seeds)
         ok = ok and len(set(seeds)) == len(seeds)
         _check("seeds", seeds, ok, "a nonempty list of distinct nonnegative integers")
-        _check_bandwidth("bandwidth_mode", self.bandwidth_mode)
 
 
 def _is_finite(value) -> bool:
@@ -642,7 +640,8 @@ def train_predictor(
     """Fit one predictor by momentum gradient descent with early stopping.
 
     Model selection tracks the validation objective (validation MSE plus the
-    penalty on the validation rows of each interventional dataset); training
+    penalty on the validation rows of each interventional dataset). The
+    penalty's bandwidth is the median heuristic on each cell; training
     stops after ``config.patience`` epochs without improvement and the best
     parameters are returned. Deterministic for a fixed seed.
     """
@@ -664,14 +663,12 @@ def train_predictor(
     best_epoch = 0
     stale = 0
     for epoch in range(config.epochs):
-        _, grads = _objective_and_grads(
-            params, x_train, y_train, train_cells, lam, config.bandwidth_mode
-        )
+        _, grads = _objective_and_grads(params, x_train, y_train, train_cells, lam, "median")
         for k in params:
             velocity[k] = config.momentum * velocity[k] - config.lr * grads[k]
             params[k] = params[k] + velocity[k]
         val_value, _ = _objective_and_grads(
-            params, x_val, y_val, val_cells, lam, config.bandwidth_mode, want_grads=False
+            params, x_val, y_val, val_cells, lam, "median", want_grads=False
         )
         if val_value < best_val - 1e-12:
             best_val = val_value

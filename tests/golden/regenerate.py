@@ -31,7 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fairmpdag.ancestry import ancestral_relation, critical_sets
+from fairmpdag.ancestry import ancestral_relations, critical_sets
 from fairmpdag.fair_train import Variant, feature_set
 from fairmpdag.harness import ExperimentConfig, GraphSetting, build_case, run_experiment
 from fairmpdag.meek_engine import cpdag_from_dag
@@ -135,7 +135,7 @@ def graph_records() -> list[dict]:
                 "cpdag": cpdag_from_dag(case.scm.dag.induced_subgraph(g.names)).to_text(),
                 "mpdag": g.to_text(),
                 "critical_sets": {t: list(crit) for t, crit in critical_sets(g, s).items()},
-                "relations": {t: ancestral_relation(g, s, t).value for t in g.names if t != s},
+                "relations": {t: kind.value for t, kind in ancestral_relations(g, s).items()},
                 "ifair_features": list(feature_set(Variant.IFAIR, g, s, case.admissible)),
             })
     return records

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from fairmpdag import (
     AncestralRelation,
-    GraphError,
-    ancestral_relation,
+    ancestral_relations,
     critical_sets,
     cpdag_from_dag,
     construct_mpdag,
@@ -44,9 +43,10 @@ class TestCriticalSets:
         assert critical_sets(parse_graph("A -> X"), "A") == {"X": ("X",)}
         assert critical_sets(parse_graph("A -- X"), "A") == {"X": ("X",)}
 
-    def test_same_vertex_rejected(self, star_triangle):
-        with pytest.raises(GraphError):
-            ancestral_relation(star_triangle, "A", "A")
+    def test_source_is_not_a_key(self, star_triangle):
+        relations = ancestral_relations(star_triangle, "A")
+        assert "A" not in relations
+        assert list(relations) == ["X1", "X2", "X3"]
 
     def test_subset_of_neighbors_and_matches_path_oracle(self):
         rng = np.random.default_rng(61)
@@ -74,16 +74,16 @@ def test_one_search_gives_every_targets_critical_set(seed):
 
 class TestAncestralRelation:
     def test_bk_demo_definite_non_descendant(self, bk_demo_mpdag):
-        got = ancestral_relation(bk_demo_mpdag, "A", "E")
+        got = ancestral_relations(bk_demo_mpdag, "A")["E"]
         assert got is AncestralRelation.DEFINITE_NON_DESCENDANT
 
     def test_direct_arrow(self):
-        got = ancestral_relation(parse_graph("A -> X"), "A", "X")
+        got = ancestral_relations(parse_graph("A -> X"), "A")["X"]
         assert got is AncestralRelation.DEFINITE_DESCENDANT
 
     def test_single_undirected_edge_undecided(self):
         g = parse_graph("A -- X")
-        assert ancestral_relation(g, "A", "X") is AncestralRelation.POSSIBLE_DESCENDANT
+        assert ancestral_relations(g, "A")["X"] is AncestralRelation.POSSIBLE_DESCENDANT
         # cross-check against the two member DAGs
         members = enumerate_dags_in_class(g)
         verdicts = {"X" in descendants(d, "A") for d in members}
@@ -92,23 +92,26 @@ class TestAncestralRelation:
     def test_incomplete_critical_set_forces_descendance(self):
         # two undirected routes that cannot both point back without a collider
         g = parse_graph("A -- X\nA -- W\nX -> T\nW -> T")
-        assert ancestral_relation(g, "A", "T") is AncestralRelation.DEFINITE_DESCENDANT
+        assert ancestral_relations(g, "A")["T"] is AncestralRelation.DEFINITE_DESCENDANT
 
     def test_matches_class_enumeration(self):
         rng = np.random.default_rng(67)
         for _ in range(60):
             _, _, g = random_mpdag(rng, max_n=7)
             members = enumerate_dags_in_class(g)
-            down = [descendants(d, g.names[0]) for d in members]
-            for t in g.names[1:]:
-                flags = {t in d for d in down}
-                if flags == {True}:
-                    expected = AncestralRelation.DEFINITE_DESCENDANT
-                elif flags == {False}:
-                    expected = AncestralRelation.DEFINITE_NON_DESCENDANT
-                else:
-                    expected = AncestralRelation.POSSIBLE_DESCENDANT
-                assert ancestral_relation(g, g.names[0], t) is expected
+            for s in g.names:
+                down = [descendants(d, s) for d in members]
+                relations = ancestral_relations(g, s)
+                assert list(relations) == [t for t in g.names if t != s]
+                for t, got in relations.items():
+                    flags = {t in d for d in down}
+                    if flags == {True}:
+                        expected = AncestralRelation.DEFINITE_DESCENDANT
+                    elif flags == {False}:
+                        expected = AncestralRelation.DEFINITE_NON_DESCENDANT
+                    else:
+                        expected = AncestralRelation.POSSIBLE_DESCENDANT
+                    assert got is expected
 
 
 class TestDefiniteNondescendants:
@@ -129,8 +132,7 @@ class TestDefiniteNondescendants:
             s = g.names[int(rng.integers(g.n))]
             expected = tuple(
                 t
-                for t in g.names
-                if t != s
-                and ancestral_relation(g, s, t) is AncestralRelation.DEFINITE_NON_DESCENDANT
+                for t, kind in ancestral_relations(g, s).items()
+                if kind is AncestralRelation.DEFINITE_NON_DESCENDANT
             )
             assert definite_nondescendants(g, s) == expected

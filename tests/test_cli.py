@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fairmpdag
+from fairmpdag import ancestry
 from fairmpdag.cli import main
 
 from .conftest import BK_DEMO_DAG, NINE_BUCKETS
@@ -60,6 +61,18 @@ def test_identify_unidentifiable_counts(tmp_path, capsys):
     g.write_text("A -- X\n")
     assert main(["identify", str(g), "--do", "A"]) == 0
     assert "not identifiable: 2 candidate MPDAGs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, count", [(7, "64"), (12, "more than 64")])
+def test_identify_stops_past_the_candidate_cap(tmp_path, capsys, n, count):
+    # do(V0) on the complete undirected graph has 2^(n-1) candidates: 64 at
+    # n = 7, the sweep's default cap, and 2,048 at n = 12, which the search
+    # stops counting after the 65th
+    names = [f"V{i}" for i in range(n)]
+    g = tmp_path / "complete.graph"
+    g.write_text("".join(f"{a} -- {b}\n" for i, a in enumerate(names) for b in names[i + 1:]))
+    assert main(["identify", str(g), "--do", "V0"]) == 0
+    assert capsys.readouterr().out == f"not identifiable: {count} candidate MPDAGs\n"
 
 
 CYCLE = "A -- B\nB -- C\nC -- D\nD -- A\n"
@@ -129,6 +142,23 @@ def test_relations_output(demo_files, capsys):
     assert main(["relations", str(mpdag_path), "--sensitive", "A"]) == 0
     out = capsys.readouterr().out
     assert "definite_non_descendant: E" in out
+
+
+def test_relations_makes_one_critical_set_search(demo_files, capsys, monkeypatch):
+    _, _, nine = demo_files
+    sources = []
+    search = ancestry.critical_sets
+
+    def spy(g, s):
+        sources.append(s)
+        return search(g, s)
+
+    monkeypatch.setattr(ancestry, "critical_sets", spy)
+    assert main(["relations", str(nine), "--sensitive", "A"]) == 0
+    assert sources == ["A"]
+    assert capsys.readouterr().out == (
+        "definite_descendant: N\ndefinite_non_descendant: B,C,M,L\npossible_descendant: D,E,R\n"
+    )
 
 
 def test_parse_error_names_file_and_line(tmp_path, capsys):

@@ -900,12 +900,9 @@ class TestHelpers:
 
     @pytest.mark.parametrize("mode", ['"mediam"', '"1.5"', "0", "-2.0", "true", "NaN", "Infinity"])
     def test_train_config_rejects_bad_bandwidth_mode(self, mode):
-        with pytest.raises(ValueError, match="train: bandwidth_mode"):
+        # training always takes the median heuristic, so the key is gone
+        with pytest.raises(ValueError, match="train: unknown key 'bandwidth_mode'"):
             train_from_json(f'{{"bandwidth_mode": {mode}}}')
-
-    def test_train_config_accepts_median_and_positive_bandwidth(self):
-        assert train_from_json('{"bandwidth_mode": "median"}').bandwidth_mode == "median"
-        assert train_from_json('{"bandwidth_mode": 2}').bandwidth_mode == 2
 
     def test_predictor_json_roundtrip(self):
         for features in (("W",), ()):  # () is the constant IFair predictor

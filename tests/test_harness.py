@@ -248,6 +248,9 @@ BAD_CONFIGS = [
     (config_json(train={"seeds": []}), "train: seeds must be"),
     # the binary-outcome mode is gone, and its key with it
     (config_json(train={"binary_outcome": False}), "train: unknown key 'binary_outcome'"),
+    # training always takes the median-heuristic bandwidth, and the key is gone
+    (config_json(train={"bandwidth_mode": "median"}), "train: unknown key 'bandwidth_mode'"),
+    (config_json(train={"bandwidth_mode": 2}), "train: unknown key 'bandwidth_mode'"),
 ]
 
 
