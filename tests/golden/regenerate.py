@@ -10,7 +10,12 @@ sweeps and compares them with ``compare``.
 graphs shaped like the benchmark's graph-scale workload (d = 30, 60, 120,
 s = 3d/2, two admissible vertices, ``bk_fraction`` 0.5, config seeds 0-3):
 the true DAG's CPDAG, the MPDAG, the sensitive vertex's critical set and
-ancestral relation for every other vertex, and the IFair feature set.
+ancestral relation for every other vertex, and the IFair feature set. Five
+more graphs are built in ``unidentifiable_mode`` with no extra background
+knowledge (d = 30, s = 45, two admissible vertices, seeds 0, 2 and 9;
+d = 10, s = 15, none admissible, seeds 11 and 17): their sensitive vertex
+has possible descendants, and their records also hold the candidate MPDAGs,
+which ``construct_mpdag`` builds one orientation at a time.
 ``tests/test_golden.py`` compares ``graph_records()`` with it exactly.
 
 Rewrite every golden after a change that moves numbers, from the repository
@@ -19,7 +24,15 @@ root::
     PYTHONPATH=src python -m tests.golden.regenerate
 
 It prints, per golden, the largest relative deviation of ``rmse`` and
-``mmd2`` from the old files, and how many dumps changed bytes.
+``mmd2`` from the old files, and how many dumps changed bytes. To check
+that a change leaves every golden byte for byte as it is, without writing
+anything::
+
+    PYTHONPATH=src python -m tests.golden.regenerate --check
+
+It prints each file, dump hash, best epoch or graph record that moved and
+exits with status 1 if any did. Either form takes golden names (``A``,
+``B``, ``graphs``) to do only those.
 """
 from __future__ import annotations
 
@@ -120,25 +133,51 @@ def regenerate(name: str) -> None:
     (golden / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
 
 
+def _graph_configs():
+    for d in (30, 60, 120):
+        for seed in range(4):
+            yield ExperimentConfig((GraphSetting(d, 3 * d // 2, 1, 2),), seed=seed, bk_fraction=0.5)
+    for setting, seeds in ((GraphSetting(30, 45, 1, 2), (0, 2, 9)), (GraphSetting(10, 15, 1, 0), (11, 17))):
+        for seed in seeds:
+            yield ExperimentConfig((setting,), seed=seed, unidentifiable_mode=True)
+
+
 def graph_records() -> list[dict]:
     """The graph layer's answers on the graph-golden cases, in ``graphs.json``'s form."""
     records = []
-    for d in (30, 60, 120):
-        for seed in range(4):
-            cfg = ExperimentConfig((GraphSetting(d, 3 * d // 2, 1, 2),), seed=seed, bk_fraction=0.5)
-            case = build_case(cfg, 0, 0)
-            g, s = case.mpdag, case.sensitive
-            records.append({
-                "d": d,
-                "seed": seed,
-                "sensitive": s,
-                "cpdag": cpdag_from_dag(case.scm.dag.induced_subgraph(g.names)).to_text(),
-                "mpdag": g.to_text(),
-                "critical_sets": {t: list(crit) for t, crit in critical_sets(g, s).items()},
-                "relations": {t: kind.value for t, kind in ancestral_relations(g, s).items()},
-                "ifair_features": list(feature_set(Variant.IFAIR, g, s, case.admissible)),
-            })
+    for cfg in _graph_configs():
+        case = build_case(cfg, 0, 0)
+        g, s = case.mpdag, case.sensitive
+        record = {
+            "d": cfg.graph_settings[0].d,
+            "seed": cfg.seed,
+            "sensitive": s,
+            "cpdag": cpdag_from_dag(case.scm.dag.induced_subgraph(g.names)).to_text(),
+            "mpdag": g.to_text(),
+            "critical_sets": {t: list(crit) for t, crit in critical_sets(g, s).items()},
+            "relations": {t: kind.value for t, kind in ancestral_relations(g, s).items()},
+            "ifair_features": list(feature_set(Variant.IFAIR, g, s, case.admissible)),
+        }
+        if cfg.unidentifiable_mode:
+            record["unidentifiable_mode"] = True
+            record["candidates"] = [c.to_text() for c in case.candidates]
+        records.append(record)
     return records
+
+
+def graph_label(record: dict) -> str:
+    mode = " unidentifiable" if record.get("unidentifiable_mode") else ""
+    return f"graph d={record['d']} seed={record['seed']}{mode}"
+
+
+def graph_changes(old: list[dict], new: list[dict]) -> list[str]:
+    """Each graph record of ``new`` that differs from ``old``, with its fields."""
+    changes = [f"graphs: {len(new)} records, golden has {len(old)}"] if len(old) != len(new) else []
+    for w, g in zip(old, new):
+        differs = sorted(k for k in w.keys() | g.keys() if w.get(k) != g.get(k))
+        if differs:
+            changes.append(f"{graph_label(w)} differs in {differs}")
+    return changes
 
 
 def regenerate_graphs() -> None:
@@ -153,9 +192,41 @@ def regenerate_graphs() -> None:
     GRAPHS.write_text(json.dumps(records, indent=1) + "\n")
 
 
-if __name__ == "__main__":
-    for golden_name in sys.argv[1:] or (*GOLDENS, "graphs"):
-        if golden_name == "graphs":
+def check(name: str) -> list[str]:
+    """What of golden ``name`` a fresh run does not reproduce byte for byte."""
+    if name == "graphs":
+        return graph_changes(json.loads(GRAPHS.read_text()), graph_records())
+    golden = HERE / name
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        runs = run_golden(name, out)
+        moved = [f"{name}/{f} differs" for f in ("tradeoff.csv", "failures.csv")
+                 if (out / f).read_bytes() != (golden / f).read_bytes()]
+    old = json.loads((golden / "runs.json").read_text())
+    for key in ("dump_sha256", "best_epoch"):
+        moved += [f"{name}: {key} of {k} differs" for k in sorted(old[key].keys() | runs[key].keys())
+                  if old[key].get(k) != runs[key].get(k)]
+    return moved
+
+
+def main(argv: list[str]) -> int:
+    """Regenerate, or with ``--check`` compare, the named goldens (default all)."""
+    checking = "--check" in argv
+    names = [a for a in argv if a != "--check"] or [*GOLDENS, "graphs"]
+    moved = 0
+    for name in names:
+        if checking:
+            changes = check(name)
+            for change in changes:
+                print(change)
+            print(f"{name}: {'moved' if changes else 'unchanged'}")
+            moved += bool(changes)
+        elif name == "graphs":
             regenerate_graphs()
         else:
-            regenerate(golden_name)
+            regenerate(name)
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
