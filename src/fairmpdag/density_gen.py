@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,19 @@ class BucketConditional:
     intercept: np.ndarray
     residual_cov: np.ndarray
 
+    @cached_property
+    def noise_factor(self) -> np.ndarray:
+        """F with F F^T the residual covariance: eigenvectors times root eigenvalues."""
+        eigvals, eigvecs = _eigh(self.residual_cov)
+        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
+def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh``, whose answer for a 1 x 1 matrix [[c]] is c and [[1.0]]."""
+    if len(cov) == 1:
+        return cov[0], np.ones((1, 1))
+    return np.linalg.eigh(cov)
+
 
 def fit_bucket_conditionals(
     data: Dataset, ordering: CausalOrdering, g: Pdag
@@ -36,7 +50,8 @@ def fit_bucket_conditionals(
 
     A rank-deficient design gets the minimum-norm least-squares solution.
     The residual covariance is the maximum-likelihood estimate, symmetrized
-    with negative eigenvalues clipped to zero.
+    with negative eigenvalues clipped to zero; an eigenvalue below -1e-9
+    times the largest is not rounding and raises.
     """
     models = []
     for bucket in ordering.buckets:
@@ -49,8 +64,8 @@ def fit_bucket_conditionals(
         resid = y - design @ beta
         cov = resid.T @ resid / n
         cov = (cov + cov.T) / 2
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        if eigvals.min(initial=0.0) < -1e-9:
+        eigvals, eigvecs = _eigh(cov)
+        if eigvals.min(initial=0.0) < -1e-9 * eigvals.max(initial=0.0):
             raise ValueError("residual covariance is not numerically PSD")
         cov = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
         models.append(
@@ -63,10 +78,6 @@ def fit_bucket_conditionals(
             )
         )
     return models
-
-
-def _model_map(models: Sequence[BucketConditional]) -> dict[frozenset, BucketConditional]:
-    return {frozenset(m.bucket): m for m in models}
 
 
 def generate_interventional(
@@ -85,7 +96,7 @@ def generate_interventional(
     missing = [v for v in formula.fixed if v not in assignments]
     if missing:
         raise ValueError(f"missing assignment for {missing}")
-    by_bucket = _model_map(models)
+    by_bucket = {frozenset(m.bucket): m for m in models}
     rng = child_rng(seed, 6)
     columns: dict[str, np.ndarray] = {
         v: np.full(n, float(assignments[v])) for v in formula.fixed
@@ -94,14 +105,12 @@ def generate_interventional(
         model = by_bucket.get(frozenset(bucket))
         if model is None or model.parents != conditioning:
             raise ValueError(f"no fitted conditional matching bucket {bucket}")
-        mean = np.tile(model.intercept, (n, 1))
+        mean = model.intercept
         if model.parents:
             pa_vals = np.column_stack([columns[p] for p in model.parents])
-            mean = mean + pa_vals @ model.coef.T
-        eigvals, eigvecs = np.linalg.eigh(model.residual_cov)
-        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        noise = rng.standard_normal((n, len(bucket))) @ factor.T
-        values = mean + noise
+            mean = pa_vals @ model.coef.T + mean
+        values = rng.standard_normal((n, len(bucket))) @ model.noise_factor.T
+        values += mean
         for k, v in enumerate(bucket):
             columns[v] = values[:, k]
     return Dataset(columns, split_tags(n, SPLIT_82))

@@ -46,22 +46,31 @@ def _witnessed(dmat: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return (dmat.T.astype(float) @ nonadj.astype(float)) > 0
 
 
-def _fires_r1(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+def _fires_r1(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> np.ndarray:
     # a -> b, b - c, a and c nonadjacent  =>  b -> c
-    return umat & _witnessed(dmat, adj)
+    heads = (dmat if new is None else new).any(axis=0)
+    fire = np.zeros_like(umat)
+    fire[heads] = umat[heads] & _witnessed(dmat[:, heads], adj)
+    return fire
 
 
-def _fires_r2(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+def _fires_r2(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> np.ndarray:
     # a -> c -> b with a - b  =>  a -> b
     step = dmat.astype(float)
-    two_step = (step @ step) > 0
-    return umat & two_step
-
-
-def _fires_r3(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    # a - b, a - c -> b, a - d -> b, c and d nonadjacent  =>  a -> b
+    if new is None:
+        return umat & ((step @ step) > 0)
+    tails, heads = new.any(axis=1), new.any(axis=0)
     fire = np.zeros_like(umat)
-    for a, b in np.argwhere(umat):
+    fire[tails] = umat[tails] & ((step[tails] @ step) > 0)
+    fire[:, heads] |= umat[:, heads] & ((step @ step[:, heads]) > 0)
+    return fire
+
+
+def _fires_r3(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> np.ndarray:
+    # a - b, a - c -> b, a - d -> b, c and d nonadjacent  =>  a -> b
+    heads = (dmat if new is None else new).any(axis=0)
+    fire = np.zeros_like(umat)
+    for a, b in np.argwhere(umat & heads):
         mids = np.flatnonzero(umat[a] & dmat[:, b])
         if len(mids) < 2:
             continue
@@ -71,10 +80,11 @@ def _fires_r3(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray
     return fire
 
 
-def _fires_r4(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+def _fires_r4(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> np.ndarray:
     # a - b, a - c, c -> d, d -> b, a and d adjacent, c and b nonadjacent  =>  a -> b
+    heads = (dmat if new is None else new).any(axis=0)
     fire = np.zeros_like(umat)
-    for a, b in np.argwhere(umat):
+    for a, b in np.argwhere(umat & (heads | dmat[heads].any(axis=0))):
         dvec = dmat[:, b] & adj[a]
         if not dvec.any():
             continue
@@ -86,19 +96,29 @@ def _fires_r4(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray
     return fire
 
 
-def _closure_arrays(dmat: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply R1-R4 to fixpoint on mutable mark matrices."""
+def _closure_arrays(
+    dmat: np.ndarray, umat: np.ndarray, new: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply R1-R4 to fixpoint on mutable mark matrices.
+
+    ``new`` marks the directed edges added since the graph was last closed
+    (``None``: it never was). Each round looks only where an edge oriented
+    by the round before is a directed premise of the rule, which is exact:
+    marks only grow and undirected edges only shrink, so an instance with
+    no new directed premise held in the round before and fired then.
+    """
     adj = dmat | dmat.T | umat
     while True:
         fire = np.zeros_like(umat)
         for matcher in (_fires_r1, _fires_r2, _fires_r3, _fires_r4):
-            fire |= matcher(dmat, umat, adj)
+            fire |= matcher(dmat, umat, adj, new)
         if not fire.any():
             return dmat, umat
         if (fire & fire.T).any():
             raise OrientationConflictError("rules orient an edge both ways")
         dmat |= fire
         umat &= ~(fire | fire.T)
+        new = fire
 
 
 def meek_closure(g: Pdag) -> Pdag:
@@ -180,15 +200,19 @@ def construct_mpdag(g: Pdag, bk: BackgroundKnowledge) -> Pdag:
             raise BackgroundKnowledgeConflict(tail, head, "both directions required")
     dmat = g.directed_mask.copy()
     umat = g.undirected_mask.copy()
+    closed = False  # the first closure looks everywhere: ``g`` need not be closed
     for tail, head in statements:
         i, j = g.index(tail), g.index(head)
         if umat[i, j]:
             umat[i, j] = umat[j, i] = False
             dmat[i, j] = True
+            new = np.zeros_like(dmat)
+            new[i, j] = True
             try:
-                dmat, umat = _closure_arrays(dmat, umat)
+                dmat, umat = _closure_arrays(dmat, umat, new if closed else None)
             except OrientationConflictError as exc:
                 raise BackgroundKnowledgeConflict(tail, head, str(exc)) from exc
+            closed = True
         elif dmat[i, j]:
             continue
         elif dmat[j, i]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,16 @@ class Scm:
             if not 1 <= len(tags) <= 2 or any(t not in MECHANISMS for t in tags):
                 raise ValueError(f"bad mechanism {tags} for {v}")
 
+    @cached_property
+    def _sampling_plan(self) -> tuple:
+        """Per vertex in topological order: (vertex, its (parent, weight)
+        pairs, its mechanism functions other than the identity)."""
+        return tuple(
+            (v, tuple((p, self.weights[(p, v)]) for p in self.dag.parents_of(v)),
+             tuple(MECHANISMS[t] for t in self.mechanism[v] if MECHANISMS[t] is not None))
+            for v in self.dag.topological_order()
+        )
+
 
 # -- random generation --------------------------------------------------------
 
@@ -211,7 +222,7 @@ def _ancestral_sample(
     scm: Scm, n: int, rng: np.random.Generator, clamp: Mapping[str, float]
 ) -> dict[str, np.ndarray]:
     columns: dict[str, np.ndarray] = {}
-    for v in scm.dag.topological_order():
+    for v, weighted, mechanisms in scm._sampling_plan:
         if v in clamp:
             columns[v] = np.full(n, float(clamp[v]))
             continue
@@ -219,11 +230,10 @@ def _ancestral_sample(
             columns[v] = rng.integers(0, scm.sensitive_levels, size=n).astype(float)
             continue
         value = scm.noise_std[v] * rng.standard_normal(n)
-        for p in scm.dag.parents_of(v):
-            value = value + scm.weights[(p, v)] * columns[p]
-        for tag in scm.mechanism[v]:
-            if MECHANISMS[tag] is not None:
-                value = MECHANISMS[tag](value)
+        for p, w in weighted:
+            value += w * columns[p]
+        for f in mechanisms:
+            value = f(value)
         columns[v] = value
     return {v: columns[v] for v in scm.dag.names}
 

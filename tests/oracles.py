@@ -22,7 +22,10 @@ from fairmpdag import (
     median_bandwidth,
     random_er_dag,
 )
-from fairmpdag.meek_engine import _closure_arrays
+from fairmpdag.causal_ident import IdentificationFormula
+from fairmpdag.density_gen import BucketConditional
+from fairmpdag.meek_engine import BackgroundKnowledge, OrientationConflictError
+from fairmpdag.scm_lab import SPLIT_82, Dataset, split_tags
 
 
 def all_dags(n: int):
@@ -291,7 +294,7 @@ def enumerate_dags_in_class(g: Pdag) -> list[Pdag]:
             u2[i, j] = u2[j, i] = False
             d2[tail, head] = True
             try:
-                d2, u2 = _closure_arrays(d2, u2)
+                d2, u2 = full_round_closure_arrays(d2, u2)
             except GraphError:
                 continue
             descend(d2, u2)
@@ -541,3 +544,139 @@ def triu_median_bandwidth(values, cap: int = 512) -> float:
         return med
     mean = float(upper.mean())
     return mean if mean > 0 else 1.0
+
+
+# -- full-round Meek closure ---------------------------------------------------
+#
+# ``meek_engine`` as it was before later rounds were restricted to the edges
+# the round before oriented: every round evaluates every rule everywhere.
+
+
+def _witnessed(dmat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """[b, c] is set iff some a -> b has a and c distinct and nonadjacent."""
+    n = adj.shape[0]
+    nonadj = ~adj & ~np.eye(n, dtype=bool)
+    # witness counts in float64: exact up to 2**53, where uint8 wraps at 256
+    return (dmat.T.astype(float) @ nonadj.astype(float)) > 0
+
+
+def _fires_r1(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    # a -> b, b - c, a and c nonadjacent  =>  b -> c
+    return umat & _witnessed(dmat, adj)
+
+
+def _fires_r2(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    # a -> c -> b with a - b  =>  a -> b
+    step = dmat.astype(float)
+    two_step = (step @ step) > 0
+    return umat & two_step
+
+
+def _fires_r3(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    # a - b, a - c -> b, a - d -> b, c and d nonadjacent  =>  a -> b
+    fire = np.zeros_like(umat)
+    for a, b in np.argwhere(umat):
+        mids = np.flatnonzero(umat[a] & dmat[:, b])
+        if len(mids) < 2:
+            continue
+        sub = adj[np.ix_(mids, mids)]
+        if not sub[~np.eye(len(mids), dtype=bool)].all():
+            fire[a, b] = True
+    return fire
+
+
+def _fires_r4(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    # a - b, a - c, c -> d, d -> b, a and d adjacent, c and b nonadjacent  =>  a -> b
+    fire = np.zeros_like(umat)
+    for a, b in np.argwhere(umat):
+        dvec = dmat[:, b] & adj[a]
+        if not dvec.any():
+            continue
+        cands = np.flatnonzero(umat[a] & ~adj[:, b])
+        for c in cands:
+            if c != b and (dmat[c] & dvec).any():
+                fire[a, b] = True
+                break
+    return fire
+
+
+def full_round_closure_arrays(dmat: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply R1-R4 to fixpoint on mutable mark matrices."""
+    adj = dmat | dmat.T | umat
+    while True:
+        fire = np.zeros_like(umat)
+        for matcher in (_fires_r1, _fires_r2, _fires_r3, _fires_r4):
+            fire |= matcher(dmat, umat, adj)
+        if not fire.any():
+            return dmat, umat
+        if (fire & fire.T).any():
+            raise OrientationConflictError("rules orient an edge both ways")
+        dmat |= fire
+        umat &= ~(fire | fire.T)
+
+
+def full_round_construct_mpdag(g: Pdag, bk: BackgroundKnowledge) -> Pdag:
+    """``construct_mpdag`` with a full-round closure after every statement."""
+    statements = sorted(set(bk))
+    stated = set(statements)
+    for tail, head in statements:
+        if (head, tail) in stated:
+            raise BackgroundKnowledgeConflict(tail, head, "both directions required")
+    dmat = g.directed_mask.copy()
+    umat = g.undirected_mask.copy()
+    for tail, head in statements:
+        i, j = g.index(tail), g.index(head)
+        if umat[i, j]:
+            umat[i, j] = umat[j, i] = False
+            dmat[i, j] = True
+            try:
+                dmat, umat = full_round_closure_arrays(dmat, umat)
+            except OrientationConflictError as exc:
+                raise BackgroundKnowledgeConflict(tail, head, str(exc)) from exc
+        elif dmat[i, j]:
+            continue
+        elif dmat[j, i]:
+            raise BackgroundKnowledgeConflict(tail, head, "edge oriented the other way")
+        else:
+            raise BackgroundKnowledgeConflict(tail, head, "edge not present")
+    try:
+        return Pdag.from_arrays(g.names, dmat, umat)
+    except DirectedCycleError as exc:
+        raise BackgroundKnowledgeConflict(*statements[0], "orientations force a cycle") from exc
+
+
+# -- interventional generation with a factorisation per call -------------------
+
+
+def per_call_generate_interventional(
+    models: list[BucketConditional],
+    formula: IdentificationFormula,
+    assignments: dict,
+    n: int,
+    seed: int,
+) -> Dataset:
+    """``generate_interventional`` factoring each bucket's residual covariance
+    with ``np.linalg.eigh`` on every call, whatever the bucket's size."""
+    missing = [v for v in formula.fixed if v not in assignments]
+    if missing:
+        raise ValueError(f"missing assignment for {missing}")
+    by_bucket = {frozenset(m.bucket): m for m in models}
+    rng = child_rng(seed, 6)
+    columns: dict[str, np.ndarray] = {
+        v: np.full(n, float(assignments[v])) for v in formula.fixed
+    }
+    for bucket, conditioning in reversed(formula.factors):
+        model = by_bucket.get(frozenset(bucket))
+        if model is None or model.parents != conditioning:
+            raise ValueError(f"no fitted conditional matching bucket {bucket}")
+        mean = np.tile(model.intercept, (n, 1))
+        if model.parents:
+            pa_vals = np.column_stack([columns[p] for p in model.parents])
+            mean = mean + pa_vals @ model.coef.T
+        eigvals, eigvecs = np.linalg.eigh(model.residual_cov)
+        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        noise = rng.standard_normal((n, len(bucket))) @ factor.T
+        values = mean + noise
+        for k, v in enumerate(bucket):
+            columns[v] = values[:, k]
+    return Dataset(columns, split_tags(n, SPLIT_82))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairmpdag import (
     BucketConditional,
@@ -16,7 +18,11 @@ from fairmpdag import (
     sample_observational,
 )
 
-from .oracles import permutation_null_quantile
+from fairmpdag import harness
+from fairmpdag.harness import ExperimentConfig, GraphSetting, build_case
+from fairmpdag.scm_lab import Dataset, split_tags
+
+from .oracles import per_call_generate_interventional, permutation_null_quantile
 from .test_scm_lab import two_vertex_scm
 
 
@@ -78,6 +84,19 @@ class TestFit:
         pred = x_model.intercept + data.matrix(x_model.parents) @ x_model.coef.T
         assert abs((pred.ravel() - data.columns["X"]).mean()) < 0.05
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_psd_check_does_not_depend_on_units(self, scale):
+        # B = 3A in one bucket: the residual covariance has rank one, and its
+        # zero eigenvalue comes out of eigh with a rounding error that grows
+        # with the data's units (below -1e-9 at scale 1e4 for several seeds)
+        g = parse_graph("A -- B")
+        for seed in range(20):
+            a = scale * np.random.default_rng(seed).standard_normal(800)
+            data = Dataset({"A": a, "B": 3 * a}, split_tags(800, (("train", 1),)))
+            (model,) = fit_bucket_conditionals(data, pco(g.names, g), g)
+            assert model.bucket == ("A", "B")
+            assert abs(model.residual_cov[1, 1] / model.residual_cov[0, 0] - 9) < 1e-9
+
 
 class TestGenerate:
     def test_matches_truth_mean(self, two_vertex_fit):
@@ -106,6 +125,24 @@ class TestGenerate:
         a = generate_interventional(models, formula, {"A": 1.0}, 256, seed=111)
         b = generate_interventional(models, formula, {"A": 1.0}, 256, seed=111)
         assert all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
+
+    @pytest.mark.parametrize("kind, seed", [("linear", 4), ("nonlinear", 36)])
+    def test_matches_a_factorisation_per_call_byte_for_byte(self, kind, seed, monkeypatch):
+        # d = 120 graph-scale cases with one-member buckets and buckets of
+        # 2, 3 and 5 members, 2 and 3 sensitive levels; the oracle redoes
+        # each bucket's eigendecomposition on every call
+        setting = GraphSetting(120, 180, 1, 2)
+        cfg = ExperimentConfig((setting,), seed=seed, bk_fraction=0.5, scm_kind=kind)
+        case = build_case(cfg, 0, 0)
+        assert {1, 2, 3, 5} <= {len(m.bucket) for m in case.conditionals[0]}
+        monkeypatch.setattr(harness, "generate_interventional", per_call_generate_interventional)
+        want = build_case(cfg, 0, 0)
+        assert len(case.train_sets) == len(want.train_sets) == len(case.levels)
+        for got, expected in zip(case.train_sets, want.train_sets):
+            assert got.sensitive_value == expected.sensitive_value
+            assert got.data.names == expected.data.names
+            for v, col in expected.data.columns.items():
+                assert got.data.columns[v].tobytes() == col.tobytes(), v
 
     def test_missing_assignment_rejected(self, two_vertex_fit):
         _, _, g, models = two_vertex_fit
@@ -168,6 +205,25 @@ class TestUnidentifiable:
         means = sorted(d.columns["X"].mean() for d in sets)
         # f(x) leaves the mean near E[X] ~ 0.45; f(x|a) pushes it to ~0.9
         assert means[1] - means[0] > 0.3
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2e-308)
+@example(1e308)
+@example(float("inf"))
+@example(float("-inf"))
+@example(float("nan"))
+@settings(max_examples=200, deadline=None)
+def test_eigh_of_a_one_by_one_matrix_is_its_entry_and_one(c):
+    # a one-member bucket skips eigh on this: if a LAPACK breaks it, the
+    # fit and the generated data change
+    cov = np.array([[c]])
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    assert eigvals.tobytes() == cov[0].tobytes()
+    assert eigvecs.tobytes() == np.ones((1, 1)).tobytes()
 
 
 def models_from_json(text: str) -> list[BucketConditional]:

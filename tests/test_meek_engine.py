@@ -19,13 +19,22 @@ from fairmpdag import (
     pattern_of_dag,
     random_er_dag,
 )
-from fairmpdag.meek_engine import _fires_r1, _fires_r2, _fires_r3, _fires_r4, check_mpdag
+from fairmpdag.meek_engine import (
+    _closure_arrays,
+    _fires_r1,
+    _fires_r2,
+    _fires_r3,
+    _fires_r4,
+    check_mpdag,
+)
 
 from .conftest import BK_DEMO_KNOWLEDGE
 from .oracles import (
     all_dags,
     class_key,
     collider_pattern,
+    full_round_closure_arrays,
+    full_round_construct_mpdag,
     naive_extensions,
     random_mpdag,
     sequential_meek_closure,
@@ -331,6 +340,48 @@ def test_augment_commutes_with_orientation_on_random_mpdags(seed):
     assert construct_mpdag(augment_with_prediction(g), bk) == left
     stated = list(g.directed_edges) + bk + [(v, "Yhat") for v in dag.names]
     assert construct_mpdag(cpdag_from_dag(augment_with_prediction(dag)), stated) == left
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` returns, or the type and message of its graph error."""
+    try:
+        return build(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def closed_by(closure, g: Pdag):
+    return lambda: Pdag.from_arrays(
+        g.names, *closure(g.directed_mask.copy(), g.undirected_mask.copy())
+    )
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["cpdag", "pattern", "skeleton"]),
+    st.sampled_from([0.0, 0.1, 0.3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_closure_matches_the_full_round_oracle(seed, kind, reversed_share):
+    # later rounds look only where the round before oriented an edge, and a
+    # statement's closure only from its edge; the oracle looks everywhere
+    # every round. Inputs: CPDAGs, unclosed patterns and undirected
+    # skeletons, with true statements on a share of the adjacent pairs,
+    # some of them reversed
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 16))
+    s = int(rng.integers(d - 1, min(3 * d, d * (d - 1) // 2) + 1))
+    dag = random_er_dag(d, s, int(rng.integers(2**32)))
+    if kind == "cpdag":
+        g = cpdag_from_dag(dag)
+    elif kind == "pattern":
+        g = pattern_of_dag(dag)
+    else:
+        g = Pdag(dag.names, undirected=dag.directed_edges)
+    bk = true_statements(dag, dag.directed_edges, rng, share=rng.uniform(0.2, 0.8))
+    bk = [(b, a) if rng.random() < reversed_share else (a, b) for a, b in bk]
+    assert outcome(construct_mpdag, g, bk) == outcome(full_round_construct_mpdag, g, bk)
+    assert outcome(closed_by(_closure_arrays, g)) == outcome(closed_by(full_round_closure_arrays, g))
 
 
 @given(st.integers(0, 2**32 - 1))
