@@ -1,10 +1,12 @@
 """Golden sweep outputs and graphs: write them, and compare fresh ones with them.
 
-Each folder next to this file (``A``, ``B``) holds a sweep's ``config.json``
-and what ``run_experiment`` made from it: ``tradeoff.csv``, ``failures.csv``
-and ``runs.json``, which maps every prediction dump to its sha256 and every
-run's model file to its ``best_epoch``. ``tests/test_golden.py`` reruns the
-sweeps and compares them with ``compare``.
+Each folder next to this file (``A``, ``B``, ``C``) holds a sweep's
+``config.json`` and what ``run_experiment`` made from it: ``tradeoff.csv``,
+``failures.csv`` and ``runs.json``, which maps every prediction dump to its
+sha256 and every run's model file to its ``best_epoch``. ``C`` is the one
+with a nonlinear model and background knowledge (``scm_kind`` nonlinear,
+``bk_fraction`` 0.5). ``tests/test_golden.py`` reruns the sweeps and
+compares them with ``compare``.
 
 ``graphs.json`` holds the graph layer's answers on twelve ``build_case``
 graphs shaped like the benchmark's graph-scale workload (d = 30, 60, 120,
@@ -32,7 +34,7 @@ anything::
 
 It prints each file, dump hash, best epoch or graph record that moved and
 exits with status 1 if any did. Either form takes golden names (``A``,
-``B``, ``graphs``) to do only those.
+``B``, ``C``, ``graphs``) to do only those.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ from fairmpdag.harness import ExperimentConfig, GraphSetting, build_case, run_ex
 from fairmpdag.meek_engine import cpdag_from_dag
 
 HERE = Path(__file__).parent
-GOLDENS = ("A", "B")
+GOLDENS = ("A", "B", "C")
 FLOAT_FIELDS = ("rmse", "mmd2")
 GRAPHS = HERE / "graphs.json"
 
