@@ -13,7 +13,6 @@ from .ancestry import (
     definite_nondescendants,
 )
 from .causal_ident import (
-    CausalOrdering,
     IdentificationFormula,
     NotIdentifiableError,
     enumerate_valid_orientations,

@@ -1,8 +1,9 @@
 """Partial causal ordering and interventional-effect identification on MPDAGs.
 
 The central objects are the ordered bucket decomposition of the vertex set
-(PCO), the undirected-edge identifiability test for an intervened set, and
-the symbolic truncated-factorization formula built from bucket conditionals.
+(PCO, a tuple of buckets whose edges point from earlier to later), the
+undirected-edge identifiability test for an intervened set, and the
+symbolic truncated-factorization formula built from bucket conditionals.
 For non-identifiable cases, candidate graphs enumerate the valid orientations
 of the undirected edges at the intervened set.
 """
@@ -29,13 +30,6 @@ class NotIdentifiableError(GraphError):
 
 
 @dataclass(frozen=True)
-class CausalOrdering:
-    """Ordered bucket list; edges between buckets point from earlier to later."""
-
-    buckets: tuple[frozenset[str], ...]
-
-
-@dataclass(frozen=True)
 class IdentificationFormula:
     """Symbolic truncated factorization for an intervention.
 
@@ -43,12 +37,10 @@ class IdentificationFormula:
     order the factorization is conventionally printed; sampling consumes them
     in reverse. Conditioning sets are the bucket's graph parents. ``fixed``
     holds the intervened vertices whose values are supplied at evaluation
-    time, and ``integrated_out`` the remaining vertices the predictor
-    marginal integrates over.
+    time.
     """
 
     factors: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    integrated_out: tuple[str, ...]
     fixed: tuple[str, ...]
 
     def as_text(self) -> str:
@@ -62,8 +54,9 @@ class IdentificationFormula:
         return " ".join(parts)
 
 
-def pco(nodes: Iterable[str], g: Pdag) -> CausalOrdering:
-    """Partial causal ordering of ``nodes`` in ``g``.
+def pco(nodes: Iterable[str], g: Pdag) -> tuple[frozenset[str], ...]:
+    """Partial causal ordering of ``nodes`` in ``g``: a tuple of buckets, with
+    every edge between two buckets pointing from the earlier to the later.
 
     The buckets of the full vertex set are sorted by (longest-path depth in
     the bucket condensation, max vertex index), and each bucket's
@@ -99,7 +92,7 @@ def pco(nodes: Iterable[str], g: Pdag) -> CausalOrdering:
         picked = frozenset(v for v in full[b] if v in node_set)
         if picked:
             ordered.append(picked)
-    return CausalOrdering(tuple(ordered))
+    return tuple(ordered)
 
 
 def is_identifiable(g: Pdag, intervened: Iterable[str]) -> bool:
@@ -112,7 +105,7 @@ def is_identifiable(g: Pdag, intervened: Iterable[str]) -> bool:
 
 
 def identification_formula(
-    g: Pdag, intervened: Iterable[str], ordering: CausalOrdering
+    g: Pdag, intervened: Iterable[str], ordering: tuple[frozenset[str], ...]
 ) -> IdentificationFormula:
     """Truncated-factorization formula for the intervened set.
 
@@ -127,21 +120,16 @@ def identification_formula(
         raise NotIdentifiableError(
             "undirected edge incident to the intervened set"
         )
-    if sum(map(len, ordering.buckets)) != g.n:
+    if sum(map(len, ordering)) != g.n:
         raise GraphError("ordering must be the PCO of every vertex of the graph")
     factors = []
-    for bucket in ordering.buckets:
+    for bucket in ordering:
         if bucket & s:
             assert bucket <= s, "identifiable graphs cannot mix buckets"
             continue
         factors.append((g.sort_vertices(bucket), parents(g, bucket)))
     factors.reverse()
-    integrated = g.sort_vertices(v for v in g.names if v not in s)
-    return IdentificationFormula(
-        factors=tuple(factors),
-        integrated_out=integrated,
-        fixed=g.sort_vertices(s),
-    )
+    return IdentificationFormula(factors=tuple(factors), fixed=g.sort_vertices(s))
 
 
 def enumerate_valid_orientations(

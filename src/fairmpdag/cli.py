@@ -63,8 +63,7 @@ def cmd_mpdag(args) -> int:
 def cmd_pco(args) -> int:
     g = _load(args.graph, _parse_mpdag)
     nodes = args.nodes if args.nodes else list(g.names)
-    ordering = pco(nodes, g)
-    print(" < ".join(_bucket_text(g, b) for b in ordering.buckets))
+    print(" < ".join(_bucket_text(g, b) for b in pco(nodes, g)))
     return 0
 
 

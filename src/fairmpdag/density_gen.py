@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .causal_ident import CausalOrdering, IdentificationFormula
+from .causal_ident import IdentificationFormula
 from .graph_core import Pdag, parents
 from .scm_lab import SPLIT_82, Dataset, child_rng, split_tags
 
@@ -44,7 +44,7 @@ def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_bucket_conditionals(
-    data: Dataset, ordering: CausalOrdering, g: Pdag
+    data: Dataset, ordering: tuple[frozenset[str], ...], g: Pdag
 ) -> list[BucketConditional]:
     """OLS fit of every bucket on its graph parents.
 
@@ -54,7 +54,7 @@ def fit_bucket_conditionals(
     times the largest is not rounding and raises.
     """
     models = []
-    for bucket in ordering.buckets:
+    for bucket in ordering:
         members = g.sort_vertices(bucket)
         pa = parents(g, bucket)
         y = data.matrix(members)

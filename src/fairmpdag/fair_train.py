@@ -150,11 +150,8 @@ class FairPredictor:
     seed: int
     best_epoch: int = 0
 
-    def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        return _forward(self.weights, x)[0]
-
     def predict(self, data: Dataset) -> np.ndarray:
-        return self.predict_matrix(data.matrix(self.features))
+        return _forward(self.weights, data.matrix(self.features))[0]
 
     def to_json(self) -> str:
         return json.dumps(

@@ -6,6 +6,8 @@ background knowledge (orient each statement, then close, failing on
 contradiction), and the prediction-vertex augmentation used to reason about
 a learned predictor as a graph vertex. R4 never fires on a pattern closed
 under R1-R3 (Meek, UAI 1995), so the CPDAG is the same closure's fixpoint.
+Each closure round looks only at the edges the round before oriented; the
+first round treats every directed edge as new.
 ``check_mpdag`` is the one test that an input graph is an MPDAG.
 """
 from __future__ import annotations
@@ -46,19 +48,17 @@ def _witnessed(dmat: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return (dmat.T.astype(float) @ nonadj.astype(float)) > 0
 
 
-def _fires_r1(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> np.ndarray:
+def _fires_r1(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarray:
     # a -> b, b - c, a and c nonadjacent  =>  b -> c
-    heads = (dmat if new is None else new).any(axis=0)
+    heads = new.any(axis=0)
     fire = np.zeros_like(umat)
     fire[heads] = umat[heads] & _witnessed(dmat[:, heads], adj)
     return fire
 
 
-def _fires_r2(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> np.ndarray:
+def _fires_r2(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarray:
     # a -> c -> b with a - b  =>  a -> b
     step = dmat.astype(float)
-    if new is None:
-        return umat & ((step @ step) > 0)
     tails, heads = new.any(axis=1), new.any(axis=0)
     fire = np.zeros_like(umat)
     fire[tails] = umat[tails] & ((step[tails] @ step) > 0)
@@ -66,9 +66,9 @@ def _fires_r2(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> 
     return fire
 
 
-def _fires_r3(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> np.ndarray:
+def _fires_r3(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarray:
     # a - b, a - c -> b, a - d -> b, c and d nonadjacent  =>  a -> b
-    heads = (dmat if new is None else new).any(axis=0)
+    heads = new.any(axis=0)
     fire = np.zeros_like(umat)
     for a, b in np.argwhere(umat & heads):
         mids = np.flatnonzero(umat[a] & dmat[:, b])
@@ -80,9 +80,9 @@ def _fires_r3(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> 
     return fire
 
 
-def _fires_r4(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> np.ndarray:
+def _fires_r4(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarray:
     # a - b, a - c, c -> d, d -> b, a and d adjacent, c and b nonadjacent  =>  a -> b
-    heads = (dmat if new is None else new).any(axis=0)
+    heads = new.any(axis=0)
     fire = np.zeros_like(umat)
     for a, b in np.argwhere(umat & (heads | dmat[heads].any(axis=0))):
         dvec = dmat[:, b] & adj[a]
@@ -97,15 +97,15 @@ def _fires_r4(dmat: np.ndarray, umat: np.ndarray, adj: np.ndarray, new=None) -> 
 
 
 def _closure_arrays(
-    dmat: np.ndarray, umat: np.ndarray, new: np.ndarray | None = None
+    dmat: np.ndarray, umat: np.ndarray, new: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply R1-R4 to fixpoint on mutable mark matrices.
 
-    ``new`` marks the directed edges added since the graph was last closed
-    (``None``: it never was). Each round looks only where an edge oriented
-    by the round before is a directed premise of the rule, which is exact:
-    marks only grow and undirected edges only shrink, so an instance with
-    no new directed premise held in the round before and fired then.
+    ``new`` marks the directed edges added since the graph was last closed,
+    every directed edge if it never was. Each round looks only where an edge
+    oriented by the round before is a directed premise of the rule, which is
+    exact: marks only grow and undirected edges only shrink, so an instance
+    with no new directed premise held in the round before and fired then.
     """
     adj = dmat | dmat.T | umat
     while True:
@@ -128,7 +128,9 @@ def meek_closure(g: Pdag) -> Pdag:
     so the skeleton is preserved. Acyclicity of the result is checked and a
     violation fails hard (it can only arise from inconsistent input).
     """
-    dmat, umat = _closure_arrays(g.directed_mask.copy(), g.undirected_mask.copy())
+    dmat, umat = _closure_arrays(
+        g.directed_mask.copy(), g.undirected_mask.copy(), g.directed_mask
+    )
     try:
         return Pdag.from_arrays(g.names, dmat, umat)
     except DirectedCycleError as exc:
@@ -200,19 +202,17 @@ def construct_mpdag(g: Pdag, bk: BackgroundKnowledge) -> Pdag:
             raise BackgroundKnowledgeConflict(tail, head, "both directions required")
     dmat = g.directed_mask.copy()
     umat = g.undirected_mask.copy()
-    closed = False  # the first closure looks everywhere: ``g`` need not be closed
+    new = dmat.copy()  # ``g`` need not be closed, so every edge is new at first
     for tail, head in statements:
         i, j = g.index(tail), g.index(head)
         if umat[i, j]:
             umat[i, j] = umat[j, i] = False
-            dmat[i, j] = True
-            new = np.zeros_like(dmat)
-            new[i, j] = True
+            dmat[i, j] = new[i, j] = True
             try:
-                dmat, umat = _closure_arrays(dmat, umat, new if closed else None)
+                dmat, umat = _closure_arrays(dmat, umat, new)
             except OrientationConflictError as exc:
                 raise BackgroundKnowledgeConflict(tail, head, str(exc)) from exc
-            closed = True
+            new = np.zeros_like(dmat)
         elif dmat[i, j]:
             continue
         elif dmat[j, i]:

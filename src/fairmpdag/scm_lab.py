@@ -1,8 +1,8 @@
 """Ground-truth generative models and sampling.
 
 Random ER DAGs and one structural model over them: each vertex is its
-standard-normal noise times a scale plus the weighted sum of its parents,
-pushed through a per-vertex mechanism. Linear models draw weights of
+standard-normal noise plus the weighted sum of its parents, pushed through
+a per-vertex mechanism. Linear models draw weights of
 magnitude 0.1..1 and use the identity mechanism; nonlinear models use unit
 weights and a random sin/cos/tanh/sigmoid mechanism, the sigmoid being
 1 / (1 + exp(-x)). Sampling is ancestral for observational data and by
@@ -38,7 +38,6 @@ def derive_seed(seed: int, *key: int) -> int:
 
 SPLIT_811 = (("train", 8), ("val", 1), ("test", 1))
 SPLIT_82 = (("train", 8), ("val", 2))
-SPLIT_TEST = (("test", 1),)
 
 
 def split_tags(n: int, scheme: Sequence[tuple[str, int]]) -> np.ndarray:
@@ -70,10 +69,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.split)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
     def subset(self, tag: str) -> "Dataset":
         mask = self.split == tag
         return Dataset(
@@ -103,14 +98,13 @@ MECHANISMS = {"linear": None, "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "si
 class Scm:
     """Structural model with one discrete sensitive vertex.
 
-    Every other vertex is its noise times ``noise_std`` plus the weighted sum
-    of its parents, pushed through ``mechanism``: a tuple of one base tag, or
-    two for the composite case (applied left to right).
+    Every other vertex is its standard-normal noise plus the weighted sum of
+    its parents, pushed through ``mechanism``: a tuple of one base tag, or two
+    for the composite case (applied left to right).
     """
 
     dag: Pdag
     weights: dict[tuple[str, str], float]
-    noise_std: dict[str, float]
     mechanism: dict[str, tuple[str, ...]]
     sensitive: str
     sensitive_levels: int
@@ -132,9 +126,8 @@ class Scm:
         for edge, beta in self.weights.items():
             if not 0.1 <= abs(beta) <= 1.0:
                 raise ValueError(f"|beta| outside [0.1, 1] on {edge}")
-        for name, table in (("noise_std", self.noise_std), ("mechanism", self.mechanism)):
-            if set(table) != set(self.dag.names):
-                raise ValueError(f"{name} must be keyed exactly by the DAG vertices")
+        if set(self.mechanism) != set(self.dag.names):
+            raise ValueError("mechanism must be keyed exactly by the DAG vertices")
         for v, tags in self.mechanism.items():
             if not 1 <= len(tags) <= 2 or any(t not in MECHANISMS for t in tags):
                 raise ValueError(f"bad mechanism {tags} for {v}")
@@ -194,9 +187,8 @@ def random_linear_scm(dag: Pdag, seed: int) -> Scm:
         magnitude = rng.uniform(0.1, 1.0)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         weights[edge] = sign * magnitude
-    noise_std = {v: 1.0 for v in trimmed.names}
     mechanism = {v: ("linear",) for v in trimmed.names}
-    return Scm(trimmed, weights, noise_std, mechanism, sensitive, levels, outcome)
+    return Scm(trimmed, weights, mechanism, sensitive, levels, outcome)
 
 
 def random_nonlinear_scm(dag: Pdag, seed: int) -> Scm:
@@ -211,8 +203,7 @@ def random_nonlinear_scm(dag: Pdag, seed: int) -> Scm:
         else:
             mechanism[v] = (str(rng.choice(tags)),)
     weights = {edge: 1.0 for edge in trimmed.directed_edges}
-    noise_std = {v: 1.0 for v in trimmed.names}
-    return Scm(trimmed, weights, noise_std, mechanism, sensitive, levels, outcome)
+    return Scm(trimmed, weights, mechanism, sensitive, levels, outcome)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -229,7 +220,7 @@ def _ancestral_sample(
         if v == scm.sensitive:
             columns[v] = rng.integers(0, scm.sensitive_levels, size=n).astype(float)
             continue
-        value = scm.noise_std[v] * rng.standard_normal(n)
+        value = rng.standard_normal(n)
         for p, w in weighted:
             value += w * columns[p]
         for f in mechanisms:
@@ -247,16 +238,13 @@ def sample_observational(scm: Scm, n: int, seed: int) -> Dataset:
 
 
 def sample_interventional_truth(
-    scm: Scm,
-    assignments: Mapping[str, float],
-    n: int,
-    seed: int,
-    split: Sequence[tuple[str, int]] = SPLIT_TEST,
+    scm: Scm, assignments: Mapping[str, float], n: int, seed: int
 ) -> Dataset:
-    """Sample with the assigned vertices clamped and their equations removed."""
+    """Sample with the assigned vertices clamped and their equations removed;
+    every row is tagged ``test``."""
     for v in assignments:
         scm.dag.index(v)
     rng = child_rng(seed, 4)
     return Dataset(
-        _ancestral_sample(scm, n, rng, dict(assignments)), split_tags(n, split)
+        _ancestral_sample(scm, n, rng, dict(assignments)), np.full(n, "test", dtype="<U8")
     )

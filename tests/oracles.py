@@ -343,7 +343,7 @@ def sequential_meek_closure(g: Pdag, matchers, rng: np.random.Generator) -> Pdag
     while True:
         fires = []
         for rule_idx in rng.permutation(len(matchers)):
-            fire = matchers[rule_idx](dmat, umat, adj)
+            fire = matchers[rule_idx](dmat, umat, adj, dmat)
             fires.extend((int(i), int(j)) for i, j in np.argwhere(fire))
         if not fires:
             break
@@ -392,10 +392,9 @@ def dense_mmd2_value_grads(preds, sigma: float):
 def two_branch_sample(scm, kind: str, n: int, rng: np.random.Generator, clamp) -> dict:
     """Ancestral sample with one arithmetic branch per kind of model.
 
-    ``"linear"`` scales the noise and adds the weighted parents, ignoring the
-    mechanisms; ``"nonlinear"`` adds the unweighted parents to the unscaled
-    noise and applies the mechanism tags through an if-chain, ignoring the
-    weights and noise scales.
+    ``"linear"`` adds the weighted parents to the noise, ignoring the
+    mechanisms; ``"nonlinear"`` adds the unweighted parents to the noise and
+    applies the mechanism tags through an if-chain, ignoring the weights.
     """
     columns = {}
     for v in scm.dag.topological_order():
@@ -407,7 +406,7 @@ def two_branch_sample(scm, kind: str, n: int, rng: np.random.Generator, clamp) -
             continue
         parents = scm.dag.parents_of(v)
         if kind == "linear":
-            value = scm.noise_std[v] * rng.standard_normal(n)
+            value = rng.standard_normal(n)
             for p in parents:
                 value = value + scm.weights[(p, v)] * columns[p]
         else:

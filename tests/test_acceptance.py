@@ -101,7 +101,7 @@ def test_criterion_3_pco_golden():
     g = fm.parse_graph(NINE_BUCKETS)
     ordering = fm.pco(g.names, g)
     order_text = " < ".join(
-        "{" + ",".join(g.sort_vertices(b)) + "}" for b in ordering.buckets
+        "{" + ",".join(g.sort_vertices(b)) + "}" for b in ordering
     )
     formula = fm.identification_formula(g, ["A", "E"], fm.pco(g.names, g)).as_text()
     ok = (
@@ -361,7 +361,7 @@ def test_criterion_9_excluded_columns_cannot_leak(tradeoff_sweep):
         case = cases[gid]
         test = case.obs.subset("test")
         base = model.predict(test)
-        excluded = [v for v in test.names if v not in model.features]
+        excluded = [v for v in test.columns if v not in model.features]
         rng = np.random.default_rng(gid)
         noisy = fm.Dataset(
             {
@@ -386,7 +386,6 @@ def _unidentifiable_case(truth_edges, outcome_edges, n_expected, seed):
     scm = fm.Scm(
         dag=dag,
         weights=weights,
-        noise_std={v: 1.0 for v in dag.names},
         mechanism={v: ("linear",) for v in dag.names},
         sensitive="A",
         sensitive_levels=2,

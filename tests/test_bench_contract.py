@@ -84,6 +84,8 @@ FIELDS_READ = [
                          "setting", "train_sets", "truth_sets"}),
     (fair_train.InterventionalSet, {"context", "sensitive_value", "data"}),
     (fair_train.EvalRecord, {"rmse", "mmd2"}),
+    (scm_lab.Scm, {"dag", "outcome"}),
+    (scm_lab.Dataset, {"columns"}),
 ]
 
 

@@ -36,7 +36,7 @@ from .oracles import (
 class TestPco:
     def test_nine_buckets_golden_order(self, nine_buckets):
         ordering = pco(nine_buckets.names, nine_buckets)
-        assert ordering.buckets == (
+        assert ordering == (
             frozenset({"B", "C"}),
             frozenset({"A", "E"}),
             frozenset({"M", "L"}),
@@ -47,21 +47,21 @@ class TestPco:
 
     def test_star_triangle(self, star_triangle):
         ordering = pco(star_triangle.names, star_triangle)
-        assert ordering.buckets == (
+        assert ordering == (
             frozenset({"A"}),
             frozenset({"X1", "X2", "X3"}),
         )
 
     def test_dag_gives_topological_singletons(self, star_triangle_dag):
         ordering = pco(star_triangle_dag.names, star_triangle_dag)
-        assert all(len(b) == 1 for b in ordering.buckets)
-        seq = [next(iter(b)) for b in ordering.buckets]
+        assert all(len(b) == 1 for b in ordering)
+        seq = [next(iter(b)) for b in ordering]
         for a, b in star_triangle_dag.directed_edges:
             assert seq.index(a) < seq.index(b)
 
     def test_subset_keeps_relative_order(self, nine_buckets):
         ordering = pco(["N", "B", "C", "R"], nine_buckets)
-        assert ordering.buckets == (
+        assert ordering == (
             frozenset({"B", "C"}),
             frozenset({"R"}),
             frozenset({"N"}),
@@ -76,8 +76,8 @@ class TestPco:
         for _ in range(40):
             _, _, g = random_mpdag(rng)
             ordering = pco(g.names, g)
-            assert set(ordering.buckets) == set(bucket_decomposition(g, g.names))
-            position = {v: k for k, b in enumerate(ordering.buckets) for v in b}
+            assert set(ordering) == set(bucket_decomposition(g, g.names))
+            position = {v: k for k, b in enumerate(ordering) for v in b}
             for a, b in g.directed_edges:
                 assert position[a] <= position[b]
             for a, b in g.undirected_edges:
@@ -122,7 +122,7 @@ class TestIdentificationFormula:
         f = formula_of(nine_buckets, ["A", "E"])
         assert f.as_text() == "f(n|a,m,l,r) f(r|e) f(d|b,e) f(m,l) f(b,c)"
         assert f.fixed == ("A", "E")
-        assert set(f.integrated_out) == set("BCDMLRN")
+        assert {v for bucket, _ in f.factors for v in bucket} == set("BCDMLRN")
 
     def test_star_triangle_single_factor(self, star_triangle):
         f = formula_of(star_triangle, ["A"])
@@ -131,7 +131,7 @@ class TestIdentificationFormula:
 
     def test_intervening_everything_leaves_no_factors(self, nine_buckets):
         f = formula_of(nine_buckets, nine_buckets.names)
-        assert f.factors == () and f.integrated_out == ()
+        assert f.factors == () and f.fixed == nine_buckets.names
 
     def test_not_identifiable_raises(self):
         with pytest.raises(NotIdentifiableError):

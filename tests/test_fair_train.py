@@ -32,7 +32,7 @@ from fairmpdag.fair_train import (
     _objective_and_grads,
     _stack,
 )
-from fairmpdag.scm_lab import child_rng, split_tags
+from fairmpdag.scm_lab import SPLIT_82, child_rng, split_tags
 
 from .conftest import train_from_json
 from .oracles import dense_mmd2_value_grads, naive_mmd2, triu_median_bandwidth
@@ -616,8 +616,9 @@ class TestTraining:
         scm, obs, truth = self._setup(beta=0.9, n=600)
         gen = [
             InterventionalSet(
-                sample_interventional_truth(
-                    scm, {"A": float(a)}, 500, seed=44 + a, split=(("train", 8), ("val", 2)),
+                Dataset(
+                    sample_interventional_truth(scm, {"A": float(a)}, 500, seed=44 + a).columns,
+                    split_tags(500, SPLIT_82),
                 ),
                 float(a),
             )
@@ -640,7 +641,6 @@ class TestTraining:
         scm = Scm(
             dag=g,
             weights={e: 0.5 for e in g.directed_edges},
-            noise_std={v: 1.0 for v in g.names},
             mechanism={v: ("linear",) for v in g.names},
             sensitive="A",
             sensitive_levels=2,
@@ -922,5 +922,5 @@ class TestHelpers:
             q = FairPredictor.from_json(p.to_json())
             assert q.variant is p.variant and q.features == p.features
             assert q.weights["w1"].shape == (len(features), 2)
-            x = np.array([[0.2], [1.4]])[:, : len(features)]
-            assert np.allclose(p.predict_matrix(x), q.predict_matrix(x))
+            data = Dataset({"W": np.array([0.2, 1.4])}, np.array(["test", "test"]))
+            assert np.allclose(p.predict(data), q.predict(data))

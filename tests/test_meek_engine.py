@@ -44,7 +44,7 @@ from .oracles import (
 
 def fired(matcher, g: Pdag) -> set[tuple[str, str]]:
     """The orientations ``tail -> head`` that one rule matcher fires on ``g``."""
-    fire = matcher(g.directed_mask, g.undirected_mask, g.adjacency_mask)
+    fire = matcher(g.directed_mask, g.undirected_mask, g.adjacency_mask, new=g.directed_mask)
     return {(g.names[i], g.names[j]) for i, j in np.argwhere(fire)}
 
 
@@ -350,9 +350,9 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
-def closed_by(closure, g: Pdag):
+def closed_by(closure, g: Pdag, *new):
     return lambda: Pdag.from_arrays(
-        g.names, *closure(g.directed_mask.copy(), g.undirected_mask.copy())
+        g.names, *closure(g.directed_mask.copy(), g.undirected_mask.copy(), *new)
     )
 
 
@@ -363,11 +363,11 @@ def closed_by(closure, g: Pdag):
 )
 @settings(max_examples=300, deadline=None)
 def test_closure_matches_the_full_round_oracle(seed, kind, reversed_share):
-    # later rounds look only where the round before oriented an edge, and a
-    # statement's closure only from its edge; the oracle looks everywhere
-    # every round. Inputs: CPDAGs, unclosed patterns and undirected
-    # skeletons, with true statements on a share of the adjacent pairs,
-    # some of them reversed
+    # each round looks only where the round before oriented an edge (the
+    # first treats every directed edge as new), and a statement's closure
+    # only from its edge; the oracle looks everywhere every round. Inputs:
+    # CPDAGs, unclosed patterns and undirected skeletons, with true
+    # statements on a share of the adjacent pairs, some of them reversed
     rng = np.random.default_rng(seed)
     d = int(rng.integers(3, 16))
     s = int(rng.integers(d - 1, min(3 * d, d * (d - 1) // 2) + 1))
@@ -381,7 +381,8 @@ def test_closure_matches_the_full_round_oracle(seed, kind, reversed_share):
     bk = true_statements(dag, dag.directed_edges, rng, share=rng.uniform(0.2, 0.8))
     bk = [(b, a) if rng.random() < reversed_share else (a, b) for a, b in bk]
     assert outcome(construct_mpdag, g, bk) == outcome(full_round_construct_mpdag, g, bk)
-    assert outcome(closed_by(_closure_arrays, g)) == outcome(closed_by(full_round_closure_arrays, g))
+    delta = closed_by(_closure_arrays, g, g.directed_mask)
+    assert outcome(delta) == outcome(closed_by(full_round_closure_arrays, g))
 
 
 @given(st.integers(0, 2**32 - 1))

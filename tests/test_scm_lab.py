@@ -26,17 +26,15 @@ from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, child_rng, sigmoid, split_ta
 from .oracles import listed_er_dag, permutation_null_quantile, two_branch_sample
 
 
-# noise scales and identity mechanisms for the two-vertex graph A -> X
-UNIT = {"A": 1.0, "X": 1.0}
+# identity mechanisms for the two-vertex graph A -> X
 LINEAR = {"A": ("linear",), "X": ("linear",)}
 
 
-def two_vertex_scm(beta=0.5, noise=1.0):
+def two_vertex_scm(beta=0.5):
     dag = parse_graph("A -> X")
     return Scm(
         dag=dag,
         weights={("A", "X"): beta},
-        noise_std={"A": 1.0, "X": noise},
         mechanism=LINEAR,
         sensitive="A",
         sensitive_levels=2,
@@ -113,21 +111,20 @@ class TestRandomScm:
     def test_validation_rejects_bad_weight(self):
         dag = parse_graph("A -> X")
         with pytest.raises(ValueError, match="outside"):
-            Scm(dag, {("A", "X"): 0.01}, UNIT, LINEAR, "A", 2, "X")
+            Scm(dag, {("A", "X"): 0.01}, LINEAR, "A", 2, "X")
 
     @pytest.mark.parametrize(
-        "noise_std, mechanism, message",
+        "mechanism, message",
         [
-            (UNIT, {"A": ("linear",), "X": ("relu",)}, "bad mechanism"),
-            (UNIT, {"A": ("linear",), "X": ("sin", "cos", "tanh")}, "bad mechanism"),
-            ({"X": 1.0}, LINEAR, "noise_std must be keyed"),
-            (UNIT, {"X": ("linear",)}, "mechanism must be keyed"),
+            ({"A": ("linear",), "X": ("relu",)}, "bad mechanism"),
+            ({"A": ("linear",), "X": ("sin", "cos", "tanh")}, "bad mechanism"),
+            ({"X": ("linear",)}, "mechanism must be keyed"),
         ],
     )
-    def test_validation_rejects_bad_tables(self, noise_std, mechanism, message):
+    def test_validation_rejects_bad_tables(self, mechanism, message):
         dag = parse_graph("A -> X")
         with pytest.raises(ValueError, match=message):
-            Scm(dag, {("A", "X"): 0.5}, noise_std, mechanism, "A", 2, "X")
+            Scm(dag, {("A", "X"): 0.5}, mechanism, "A", 2, "X")
 
 
 class TestSampling:
@@ -152,14 +149,9 @@ class TestSampling:
         assert data.subset("val").n == 100
         assert data.subset("test").n == 100
 
-    def test_noise_free_is_deterministic_map(self):
-        scm = two_vertex_scm(beta=0.5, noise=0.0)
-        data = sample_observational(scm, 100, seed=19)
-        assert np.allclose(data.columns["X"], 0.5 * data.columns["A"])
-
     def test_sensitive_levels_uniformish(self):
         dag = parse_graph("A -> X")
-        scm = Scm(dag, {("A", "X"): 0.5}, UNIT, LINEAR, "A", 3, "X")
+        scm = Scm(dag, {("A", "X"): 0.5}, LINEAR, "A", 3, "X")
         data = sample_observational(scm, 3000, seed=23)
         counts = np.bincount(data.columns["A"].astype(int), minlength=3)
         assert counts.min() > 800
@@ -236,14 +228,14 @@ class TestNonlinearSampling:
     def test_bounded_mechanisms_bounded_output(self):
         dag = parse_graph("A -> X")
         mechanism = {"A": ("linear",), "X": ("tanh",)}
-        scm = Scm(dag, {("A", "X"): 1.0}, UNIT, mechanism, "A", 2, "X")
+        scm = Scm(dag, {("A", "X"): 1.0}, mechanism, "A", 2, "X")
         data = sample_observational(scm, 400, seed=71)
         assert np.all(np.abs(data.columns["X"]) <= 1.0)
 
     def test_composite_mechanism_applies_in_order(self):
         dag = parse_graph("A -> X")
         mechanism = {"A": ("linear",), "X": ("sigmoid", "sin")}
-        scm = Scm(dag, {("A", "X"): 1.0}, UNIT, mechanism, "A", 2, "X")
+        scm = Scm(dag, {("A", "X"): 1.0}, mechanism, "A", 2, "X")
         data = sample_observational(scm, 400, seed=73)
         # sin of a sigmoid stays within sin([0, 1])
         assert np.all(data.columns["X"] >= 0.0)
