@@ -132,9 +132,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        cfg = _load(
-            cls, json.loads(text), "config", graph_settings=[GraphSetting], train=TrainConfig
-        )
+        raw = json.loads(text, object_pairs_hook=_JsonObject)
+        cfg = _load(cls, raw, "config", graph_settings=[GraphSetting], train=TrainConfig)
         if cfg.cpdag_dir is not None:
             paths = [Path(cfg.cpdag_dir)] + [
                 cfg.cpdag_path(i, gid)
@@ -152,6 +151,15 @@ class ExperimentConfig:
         return Path(self.cpdag_dir) / f"{label}_g{graph_id}.graph"
 
 
+class _JsonObject(dict):
+    """A parsed JSON object that keeps the keys given more than once."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = [key for key in self if keys.count(key) > 1]
+
+
 def _load(cls, raw, section: str, **nested):
     """Build the config dataclass ``cls`` from the JSON object ``raw``.
 
@@ -160,10 +168,13 @@ def _load(cls, raw, section: str, **nested):
     dataclass of its object, or ``[dataclass]`` for a list of objects. Other
     lists become tuples; every other value is passed on as parsed (an int
     stays an int) for ``__post_init__`` to check. Errors name the section
-    (``config``, ``train``, ``graph_settings[1]``) and the key.
+    (``config``, ``train``, ``graph_settings[1]``) and the key; a key given
+    twice is an error, not the last of its values.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{section}: expected an object, got {json.dumps(raw)}")
+    if raw.repeated:
+        raise ValueError(f"{section}: repeated key {raw.repeated[0]!r}")
     declared = {f.name: f for f in fields(cls)}
     values = {}
     for key, value in raw.items():

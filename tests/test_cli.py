@@ -205,6 +205,8 @@ def test_experiment_end_to_end(tmp_path, capsys):
          "train: unknown key 'epoch'"),
         ('{"graph_settings": [{"d": 4, "s": 9, "count": 1}]}', "graph_settings[0]: s must be"),
         ('{"graph_settings": [', "line 1 column 21"),
+        ('{"graph_settings": [{"d": 4, "s": 3, "count": 1}], "seed": 1, "seed": 2}',
+         "config: repeated key 'seed'"),
     ],
 )
 def test_experiment_bad_config_names_file(tmp_path, text, named):

@@ -204,6 +204,17 @@ BAD_CONFIGS = [
         "config: graph_settings[2]: same d and s as graph_settings[0]",
     ),
     ('{"graph_settings": [7]}', "graph_settings[0]: expected an object"),
+    # a repeated key is rejected, not read as its last value
+    (
+        '{"graph_settings":[{"d":4,"s":3,"count":1}],"seed":1,"seed":2,'
+        '"train":{"epochs":5,"epochs":7}}',
+        "config: repeated key 'seed'",
+    ),
+    (
+        '{"graph_settings":[{"d":4,"s":3,"count":1}],"train":{"epochs":5,"epochs":7}}',
+        "train: repeated key 'epochs'",
+    ),
+    ('{"graph_settings":[{"d":4,"s":3,"s":4,"count":1}]}', "graph_settings[0]: repeated key 's'"),
     ('{"graph_settings": {"d": 4, "s": 3, "count": 1}}', "config: graph_settings must be a list"),
     (config_json(graph_settings=[]), "config: graph_settings must be"),
     (config_json(seed=-1), "config: seed must be"),
