@@ -2,13 +2,13 @@
 
 Random ER DAGs and one structural model over them: each vertex is its
 standard-normal noise plus the weighted sum of its parents, pushed through
-a per-vertex mechanism. Linear models draw weights of
-magnitude 0.1..1 and use the identity mechanism; nonlinear models use unit
-weights and a random sin/cos/tanh/sigmoid mechanism, the sigmoid being
-1 / (1 + exp(-x)). Sampling is ancestral for observational data and by
-clamping for true interventional data. The discrete sensitive vertex has its
-incoming edges removed when a model is built so its uniform exogenous draw
-stays consistent with the graph.
+a per-vertex mechanism. Linear models draw weights of magnitude 0.1..1 and
+use the identity mechanism; nonlinear models use unit weights and a random
+sin/cos/tanh/sigmoid mechanism, the sigmoid being 1 / (1 + exp(-x)).
+Sampling is ancestral for observational data and by clamping for true
+interventional data. The discrete sensitive vertex has its incoming edges
+removed when a model is built so its uniform exogenous draw stays
+consistent with the graph.
 
 All randomness flows from a single integer seed through
 :func:`numpy.random.SeedSequence` spawn keys, so any sampling step is
