@@ -17,7 +17,7 @@ import numpy as np
 
 from .causal_ident import IdentificationFormula
 from .graph_core import Pdag, parents
-from .scm_lab import SPLIT_82, Dataset, child_rng, split_tags
+from .scm_lab import SPLIT_82, Dataset, child_rng, split_rows
 
 @dataclass(frozen=True)
 class BucketConditional:
@@ -91,7 +91,7 @@ def generate_interventional(
 
     Buckets are drawn sequentially in causal order, each from its fitted
     conditional given already-sampled or clamped parent values. Deterministic
-    for a fixed seed and model set; rows are tagged 8:2 train/val.
+    for a fixed seed and model set; rows are split 8:2 into train/val.
     """
     missing = [v for v in formula.fixed if v not in assignments]
     if missing:
@@ -113,7 +113,7 @@ def generate_interventional(
         values += mean
         for k, v in enumerate(bucket):
             columns[v] = values[:, k]
-    return Dataset(columns, split_tags(n, SPLIT_82))
+    return Dataset(columns, split_rows(n, SPLIT_82))
 
 
 # -- serialization -------------------------------------------------------------

@@ -276,34 +276,20 @@ def build_case(cfg: ExperimentConfig, setting_idx: int, graph_id: int) -> GraphC
     levels = tuple(float(a) for a in range(scm.sensitive_levels))
     context = admissible_intervention_values(obs, admissible)
     context_key = tuple(sorted(context.items()))
-    obs_train = obs.subset("train")
-
-    train_sets = []
-    conditionals = []
+    train_sets, conditionals = [], []
     for group, graph in enumerate(candidates):
         ordering = pco(graph.names, graph)
-        models = fit_bucket_conditionals(obs_train, ordering, graph)
+        models = fit_bucket_conditionals(obs.subset("train"), ordering, graph)
         conditionals.append(tuple(models))
         formula = identification_formula(graph, intervened, ordering)
         for li, a in enumerate(levels):
-            data = generate_interventional(
-                models,
-                formula,
-                {scm.sensitive: a, **context},
-                cfg.interventional_n,
-                derive_seed(case_seed, 3, group, li),
-            )
-            train_sets.append(
-                InterventionalSet(data, a, context=context_key, group=group)
-            )
+            data = generate_interventional(models, formula, {scm.sensitive: a, **context},
+                                           cfg.interventional_n, derive_seed(case_seed, 3, group, li))
+            train_sets.append(InterventionalSet(data, a, context=context_key, group=group))
     truth_sets = []
     for li, a in enumerate(levels):
-        data = sample_interventional_truth(
-            scm,
-            {scm.sensitive: a, **context},
-            cfg.interventional_n,
-            derive_seed(case_seed, 4, li),
-        )
+        data = sample_interventional_truth(scm, {scm.sensitive: a, **context},
+                                           cfg.interventional_n, derive_seed(case_seed, 4, li))
         truth_sets.append(InterventionalSet(data, a, context=context_key, group=0))
 
     return GraphCase(

@@ -40,40 +40,48 @@ SPLIT_811 = (("train", 8), ("val", 1), ("test", 1))
 SPLIT_82 = (("train", 8), ("val", 2))
 
 
-def split_tags(n: int, scheme: Sequence[tuple[str, int]]) -> np.ndarray:
-    """Contiguous split tags with proportions given by integer weights."""
+def split_rows(n: int, scheme: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """(tag, rows) runs in row order, in proportion to the integer weights of
+    ``scheme``; the remainder goes to the first run."""
     total = sum(w for _, w in scheme)
     counts = [n * w // total for _, w in scheme]
     counts[0] += n - sum(counts)
-    tags = np.empty(n, dtype="<U8")
-    at = 0
-    for (tag, _), count in zip(scheme, counts):
-        tags[at : at + count] = tag
-        at += count
-    return tags
+    return tuple((tag, count) for (tag, _), count in zip(scheme, counts))
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Named columns of equal length plus a split tag per row."""
+    """Named columns of equal length, split into contiguous runs of rows:
+    ``split`` holds one (tag, rows) run per tag, in row order."""
 
     columns: dict[str, np.ndarray]
-    split: np.ndarray
+    split: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        lengths = {len(col) for col in self.columns.values()}
-        if len(lengths) > 1 or (lengths and lengths != {len(self.split)}):
-            raise ValueError("columns and split must share one length")
+        tags = [tag for tag, _ in self.split]
+        for tag, rows in self.split:
+            if tags.count(tag) > 1:
+                raise ValueError(f"split {tag!r} appears more than once")
+            if rows < 0:
+                raise ValueError(f"split {tag!r} has a negative row count {rows}")
+        n = self.n
+        for name, col in self.columns.items():
+            if len(col) != n:
+                raise ValueError(f"column {name!r} has {len(col)} rows; the split sums to {n}")
 
     @property
     def n(self) -> int:
-        return len(self.split)
+        return sum(rows for _, rows in self.split)
 
     def subset(self, tag: str) -> "Dataset":
-        mask = self.split == tag
-        return Dataset(
-            {name: col[mask] for name, col in self.columns.items()}, self.split[mask]
-        )
+        """The rows of the ``tag`` run; its columns are views of these, not copies."""
+        start = 0
+        for t, rows in self.split:
+            if t == tag:
+                cols = {name: col[start : start + rows] for name, col in self.columns.items()}
+                return Dataset(cols, ((tag, rows),))
+            start += rows
+        raise ValueError(f"no split {tag!r} among {[t for t, _ in self.split]}")
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
         if not names:
@@ -230,21 +238,19 @@ def _ancestral_sample(
 
 
 def sample_observational(scm: Scm, n: int, seed: int) -> Dataset:
-    """Ancestral sample of size ``n`` with 8:1:1 train/val/test split tags."""
+    """Ancestral sample of size ``n``, split 8:1:1 into train/val/test rows."""
     if n < 1:
         raise ValueError("need at least one row")
     rng = child_rng(seed, 3)
-    return Dataset(_ancestral_sample(scm, n, rng, {}), split_tags(n, SPLIT_811))
+    return Dataset(_ancestral_sample(scm, n, rng, {}), split_rows(n, SPLIT_811))
 
 
 def sample_interventional_truth(
     scm: Scm, assignments: Mapping[str, float], n: int, seed: int
 ) -> Dataset:
     """Sample with the assigned vertices clamped and their equations removed;
-    every row is tagged ``test``."""
+    every row is in the ``test`` split."""
     for v in assignments:
         scm.dag.index(v)
     rng = child_rng(seed, 4)
-    return Dataset(
-        _ancestral_sample(scm, n, rng, dict(assignments)), np.full(n, "test", dtype="<U8")
-    )
+    return Dataset(_ancestral_sample(scm, n, rng, dict(assignments)), (("test", n),))

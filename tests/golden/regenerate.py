@@ -20,6 +20,12 @@ has possible descendants, and their records also hold the candidate MPDAGs,
 which ``construct_mpdag`` builds one orientation at a time.
 ``tests/test_golden.py`` compares ``graph_records()`` with it exactly.
 
+``criterion8.json`` holds the 90 runs of acceptance criterion 8's sweep (ten
+d = 10, s = 20 graphs, config seed 2024, default training; each graph's runs
+seeded by its graph id): graph id, model, lambda, best epoch, rmse and mmd2.
+``tests/test_acceptance.py`` compares its ``tradeoff_sweep`` fixture's runs
+with it by the rule of ``compare_rows``.
+
 Rewrite every golden after a change that moves numbers, from the repository
 root::
 
@@ -34,7 +40,7 @@ anything::
 
 It prints each file, dump hash, best epoch or graph record that moved and
 exits with status 1 if any did. Either form takes golden names (``A``,
-``B``, ``C``, ``graphs``) to do only those.
+``B``, ``C``, ``graphs``, ``criterion8``) to do only those.
 """
 from __future__ import annotations
 
@@ -47,14 +53,23 @@ import tempfile
 from pathlib import Path
 
 from fairmpdag.ancestry import ancestral_relations, critical_sets
-from fairmpdag.fair_train import Variant, feature_set
-from fairmpdag.harness import ExperimentConfig, GraphSetting, build_case, run_experiment
+from fairmpdag.fair_train import TrainConfig, Variant, feature_set
+from fairmpdag.harness import (
+    ExperimentConfig,
+    GraphSetting,
+    build_case,
+    run_case,
+    run_experiment,
+    run_plan,
+)
 from fairmpdag.meek_engine import cpdag_from_dag
 
 HERE = Path(__file__).parent
 GOLDENS = ("A", "B", "C")
 FLOAT_FIELDS = ("rmse", "mmd2")
+TOLERANCE = 1e-9  # largest relative deviation of a float metric that still matches
 GRAPHS = HERE / "graphs.json"
+CRITERION8 = HERE / "criterion8.json"
 
 
 def run_golden(name: str, out: Path) -> dict:
@@ -78,6 +93,30 @@ def _rows(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def compare_rows(label: str, want: list[dict], got: list[dict]) -> tuple[list[str], float, str]:
+    """Compare rows ``got`` with golden rows ``want``: every field but
+    ``rmse`` and ``mmd2`` must be equal, row by row.
+
+    Returns the mismatches, the largest relative deviation of ``rmse`` and
+    ``mmd2``, and where it was.
+    """
+    problems = []
+    worst, where = 0.0, "no rows"
+    if len(want) != len(got):
+        problems.append(f"{label}: {len(got)} rows, golden has {len(want)}")
+    for i, (w, g) in enumerate(zip(want, got)):
+        fixed = {k: v for k, v in w.items() if k not in FLOAT_FIELDS}
+        if fixed != {k: v for k, v in g.items() if k not in FLOAT_FIELDS}:
+            problems.append(f"{label} row {i}: {g} != golden {w}")
+            continue
+        for key in FLOAT_FIELDS:
+            a, b = float(g[key]), float(w[key])
+            dev = abs(a - b) / abs(b) if b else abs(a)
+            if dev >= worst:
+                worst, where = dev, f"row {i} {key}: {a!r} vs golden {b!r}"
+    return problems, worst, where
+
+
 def compare(name: str, out: Path, runs: dict) -> tuple[list[str], float, str]:
     """Compare a fresh sweep in ``out`` (with its ``runs.json`` record ``runs``)
     with golden ``name``.
@@ -87,21 +126,9 @@ def compare(name: str, out: Path, runs: dict) -> tuple[list[str], float, str]:
     ``rmse`` and ``mmd2``, and where it was.
     """
     golden = HERE / name
-    problems = []
-    worst, where = 0.0, "no rows"
-    want, got = _rows(golden / "tradeoff.csv"), _rows(out / "tradeoff.csv")
-    if len(want) != len(got):
-        problems.append(f"tradeoff.csv: {len(got)} rows, golden has {len(want)}")
-    for i, (w, g) in enumerate(zip(want, got)):
-        fixed = {k: v for k, v in w.items() if k not in FLOAT_FIELDS}
-        if fixed != {k: v for k, v in g.items() if k not in FLOAT_FIELDS}:
-            problems.append(f"tradeoff.csv row {i}: {g} != golden {w}")
-            continue
-        for key in FLOAT_FIELDS:
-            a, b = float(g[key]), float(w[key])
-            dev = abs(a - b) / abs(b) if b else abs(a)
-            if dev >= worst:
-                worst, where = dev, f"row {i} {key}: {a!r} vs golden {b!r}"
+    problems, worst, where = compare_rows(
+        "tradeoff.csv", _rows(golden / "tradeoff.csv"), _rows(out / "tradeoff.csv")
+    )
     if (out / "failures.csv").read_text() != (golden / "failures.csv").read_text():
         problems.append("failures.csv differs")
     old = json.loads((golden / "runs.json").read_text())
@@ -194,10 +221,63 @@ def regenerate_graphs() -> None:
     GRAPHS.write_text(json.dumps(records, indent=1) + "\n")
 
 
+def criterion8_config() -> ExperimentConfig:
+    """Acceptance criterion 8's sweep: ten 10-node/20-edge graphs, default training."""
+    return ExperimentConfig(
+        graph_settings=(GraphSetting(d=10, s=20, count=10),),
+        seed=2024,
+        sample_n=1000,
+        interventional_n=1000,
+        train=TrainConfig(),
+    )
+
+
+def criterion8_sweep(cfg: ExperimentConfig) -> tuple[list, list]:
+    """Every graph's case, and every planned run as (graph id, variant, lambda,
+    record, model). A graph's runs are seeded by its graph id, not by the
+    per-run seeds ``run_graph`` derives."""
+    cases, rows = [], []
+    for gid in range(cfg.graph_settings[0].count):
+        case = build_case(cfg, 0, gid)
+        cases.append(case)
+        for variant, lam in run_plan(cfg):
+            record, model = run_case(cfg, case, variant, lam, gid)
+            rows.append((gid, variant, lam, record, model))
+    return cases, rows
+
+
+def criterion8_records(rows) -> list[dict]:
+    """The runs of ``criterion8_sweep`` in ``criterion8.json``'s form."""
+    return [
+        {"graph_id": gid, "model": variant.value, "lambda": lam,
+         "best_epoch": model.best_epoch, "rmse": record.rmse, "mmd2": record.mmd2}
+        for gid, variant, lam, record, model in rows
+    ]
+
+
+def regenerate_criterion8() -> None:
+    """Rewrite ``criterion8.json`` and print how far it moved."""
+    records = criterion8_records(criterion8_sweep(criterion8_config())[1])
+    if CRITERION8.exists():
+        problems, worst, where = compare_rows(
+            "criterion8.json", json.loads(CRITERION8.read_text()), records
+        )
+        print(f"criterion8: largest relative deviation {worst:.3g} ({where})")
+        for problem in problems:
+            print(f"criterion8: {problem}")
+    else:
+        print("criterion8: no earlier golden")
+    CRITERION8.write_text(json.dumps(records, indent=1) + "\n")
+
+
 def check(name: str) -> list[str]:
     """What of golden ``name`` a fresh run does not reproduce byte for byte."""
     if name == "graphs":
         return graph_changes(json.loads(GRAPHS.read_text()), graph_records())
+    if name == "criterion8":
+        records = criterion8_records(criterion8_sweep(criterion8_config())[1])
+        text = json.dumps(records, indent=1) + "\n"
+        return [] if text == CRITERION8.read_text() else ["criterion8.json differs"]
     golden = HERE / name
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -214,7 +294,7 @@ def check(name: str) -> list[str]:
 def main(argv: list[str]) -> int:
     """Regenerate, or with ``--check`` compare, the named goldens (default all)."""
     checking = "--check" in argv
-    names = [a for a in argv if a != "--check"] or [*GOLDENS, "graphs"]
+    names = [a for a in argv if a != "--check"] or [*GOLDENS, "graphs", "criterion8"]
     moved = 0
     for name in names:
         if checking:
@@ -225,6 +305,8 @@ def main(argv: list[str]) -> int:
             moved += bool(changes)
         elif name == "graphs":
             regenerate_graphs()
+        elif name == "criterion8":
+            regenerate_criterion8()
         else:
             regenerate(name)
     return 1 if moved else 0

@@ -25,7 +25,7 @@ from fairmpdag import (
 from fairmpdag.causal_ident import IdentificationFormula
 from fairmpdag.density_gen import BucketConditional
 from fairmpdag.meek_engine import BackgroundKnowledge, OrientationConflictError
-from fairmpdag.scm_lab import SPLIT_82, Dataset, split_tags
+from fairmpdag.scm_lab import SPLIT_82, Dataset, split_rows
 
 
 def all_dags(n: int):
@@ -678,4 +678,27 @@ def per_call_generate_interventional(
         values = mean + noise
         for k, v in enumerate(bucket):
             columns[v] = values[:, k]
-    return Dataset(columns, split_tags(n, SPLIT_82))
+    return Dataset(columns, split_rows(n, SPLIT_82))
+
+
+# -- splits as one tag per row ---------------------------------------------------
+
+
+def split_tags(n: int, scheme) -> np.ndarray:
+    """One split tag per row, contiguous, with proportions given by integer
+    weights and the remainder in the first split."""
+    total = sum(w for _, w in scheme)
+    counts = [n * w // total for _, w in scheme]
+    counts[0] += n - sum(counts)
+    tags = np.empty(n, dtype="<U8")
+    at = 0
+    for (tag, _), count in zip(scheme, counts):
+        tags[at : at + count] = tag
+        at += count
+    return tags
+
+
+def masked_subset(columns: dict, tags: np.ndarray, tag: str) -> dict:
+    """The rows tagged ``tag`` of every column, copied through a boolean mask."""
+    mask = tags == tag
+    return {name: col[mask] for name, col in columns.items()}

@@ -2,10 +2,12 @@
 
 Criteria 1-7 and 9 are exact-oracle or golden checks; criterion 8 reproduces
 the synthetic accuracy-fairness trade-off at the 10-node/20-edge setting with
-the default training configuration, and criterion 10 repeats the monotone
+the default training configuration (its 90 runs are also pinned by
+``tests/golden/criterion8.json``), and criterion 10 repeats the monotone
 trend in the candidate-averaged (unidentifiable) mode. The two trade-off
 criteria dominate the runtime (tens of minutes).
 """
+import json
 import time
 
 import numpy as np
@@ -14,15 +16,16 @@ from scipy.stats import spearmanr
 
 import fairmpdag as fm
 from fairmpdag.fair_train import TrainConfig, Variant
-from fairmpdag.harness import (
-    ExperimentConfig,
-    GraphSetting,
-    build_case,
-    run_case,
-    run_plan,
-)
 
 from .conftest import BK_DEMO_KNOWLEDGE, NINE_BUCKETS
+from .golden.regenerate import (
+    CRITERION8,
+    TOLERANCE,
+    compare_rows,
+    criterion8_config,
+    criterion8_records,
+    criterion8_sweep,
+)
 from .oracles import (
     all_dags,
     class_key,
@@ -268,28 +271,12 @@ def test_criterion_7_mmd_and_gradient():
     )
 
 
-ACCEPT_SEED = 2024
-
-
 @pytest.fixture(scope="module")
 def tradeoff_sweep():
     """Full-scale 10-node/20-edge sweep with the default training config."""
-    cfg = ExperimentConfig(
-        graph_settings=(GraphSetting(d=10, s=20, count=10),),
-        seed=ACCEPT_SEED,
-        sample_n=1000,
-        interventional_n=1000,
-        train=TrainConfig(),
-    )
+    cfg = criterion8_config()
     t0 = time.time()
-    rows = []
-    cases = []
-    for gid in range(10):
-        case = build_case(cfg, 0, gid)
-        cases.append(case)
-        for variant, lam in run_plan(cfg):
-            record, model = run_case(cfg, case, variant, lam, gid)
-            rows.append((gid, variant, lam, record, model))
+    cases, rows = criterion8_sweep(cfg)
     return cfg, cases, rows, time.time() - t0
 
 
@@ -349,6 +336,17 @@ def test_criterion_8_tradeoff(tradeoff_sweep):
         f"(d) rmse {eps0_rmse:.3f} <= {ifair_rmse:.3f} - 0.05*{y_std:.3f}: {cond_d}; "
         f"runtime {elapsed:.0f}s < 1800s: {cond_time}",
     )
+
+
+@pytest.mark.slow
+def test_criterion_8_matches_its_golden(tradeoff_sweep):
+    # every run's graph, model, lambda and best epoch exactly; rmse and mmd2
+    # within TOLERANCE (python -m tests.golden.regenerate criterion8 rewrites it)
+    rows = tradeoff_sweep[2]
+    want = json.loads(CRITERION8.read_text())
+    problems, worst, where = compare_rows("criterion8.json", want, criterion8_records(rows))
+    assert not problems
+    assert worst <= TOLERANCE, f"largest relative deviation {worst:.3g} at {where}"
 
 
 @pytest.mark.slow

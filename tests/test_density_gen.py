@@ -20,7 +20,7 @@ from fairmpdag import (
 
 from fairmpdag import harness
 from fairmpdag.harness import ExperimentConfig, GraphSetting, build_case
-from fairmpdag.scm_lab import Dataset, split_tags
+from fairmpdag.scm_lab import Dataset, split_rows
 
 from .oracles import per_call_generate_interventional, permutation_null_quantile
 from .test_scm_lab import two_vertex_scm
@@ -54,9 +54,9 @@ class TestFit:
         cols = {"A": a}
         for k, name in enumerate(("X1", "X2", "X3")):
             cols[name] = 0.3 * a + rng.standard_normal(n) + 0.1 * k
-        from fairmpdag.scm_lab import Dataset, split_tags
+        from fairmpdag.scm_lab import Dataset, split_rows
 
-        data = Dataset(cols, split_tags(n, (("train", 1),)))
+        data = Dataset(cols, split_rows(n, (("train", 1),)))
         models = fit_bucket_conditionals(data, pco(star_triangle.names, star_triangle), star_triangle)
         by_bucket = {m.bucket: m for m in models}
         triple = by_bucket[("X1", "X2", "X3")]
@@ -67,7 +67,7 @@ class TestFit:
         assert eigvals.min() >= -1e-9
 
     def test_collinear_design_gets_finite_least_squares_fit(self):
-        from fairmpdag.scm_lab import Dataset, split_tags
+        from fairmpdag.scm_lab import Dataset, split_rows
 
         n = 200
         rng = np.random.default_rng(9)
@@ -76,7 +76,7 @@ class TestFit:
         g = parse_graph("A -> X\nB -> X")
         data = Dataset(
             {"A": a, "B": a.copy(), "X": a + 0.1 * rng.standard_normal(n)},
-            split_tags(n, (("train", 1),)),
+            split_rows(n, (("train", 1),)),
         )
         models = fit_bucket_conditionals(data, pco(g.names, g), g)
         x_model = {m.bucket: m for m in models}[("X",)]
@@ -92,7 +92,7 @@ class TestFit:
         g = parse_graph("A -- B")
         for seed in range(20):
             a = scale * np.random.default_rng(seed).standard_normal(800)
-            data = Dataset({"A": a, "B": 3 * a}, split_tags(800, (("train", 1),)))
+            data = Dataset({"A": a, "B": 3 * a}, split_rows(800, (("train", 1),)))
             (model,) = fit_bucket_conditionals(data, pco(g.names, g), g)
             assert model.bucket == ("A", "B")
             assert abs(model.residual_cov[1, 1] / model.residual_cov[0, 0] - 9) < 1e-9

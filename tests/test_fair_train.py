@@ -32,7 +32,7 @@ from fairmpdag.fair_train import (
     _objective_and_grads,
     _stack,
 )
-from fairmpdag.scm_lab import SPLIT_82, child_rng, split_tags
+from fairmpdag.scm_lab import SPLIT_82, child_rng, split_rows
 
 from .conftest import train_from_json
 from .oracles import dense_mmd2_value_grads, naive_mmd2, triu_median_bandwidth
@@ -618,7 +618,7 @@ class TestTraining:
             InterventionalSet(
                 Dataset(
                     sample_interventional_truth(scm, {"A": float(a)}, 500, seed=44 + a).columns,
-                    split_tags(500, SPLIT_82),
+                    split_rows(500, SPLIT_82),
                 ),
                 float(a),
             )
@@ -674,7 +674,7 @@ class TestTraining:
 def constant_predictor_case():
     rng = np.random.default_rng(401)
     y = rng.normal(loc=2.0, scale=1.5, size=500)
-    data = Dataset({"A": rng.normal(size=500), "Y": y}, split_tags(500, (("test", 1),)))
+    data = Dataset({"A": rng.normal(size=500), "Y": y}, split_rows(500, (("test", 1),)))
     model = FairPredictor(
         variant=Variant.FULL,
         features=("A",),
@@ -714,7 +714,7 @@ class TestEvaluate:
         def mk(shift):
             return Dataset(
                 {"A": rng.normal(size=50) + shift},
-                split_tags(50, (("train", 8), ("val", 2))),
+                split_rows(50, (("train", 8), ("val", 2))),
             )
 
         sets = [InterventionalSet(mk(float(a)), float(a)) for a in range(3)]
@@ -741,7 +741,7 @@ class TestEvaluate:
 
         def mk(n, shift):
             cols = {"A": rng.normal(size=n) + shift, "B": rng.normal(size=n)}
-            return Dataset(cols, split_tags(n, (("test", 1),)))
+            return Dataset(cols, split_rows(n, (("test", 1),)))
 
         sizes = {0: (11, 7, 15), 1: (9, 13, 6)}
         sets = [
@@ -922,5 +922,5 @@ class TestHelpers:
             q = FairPredictor.from_json(p.to_json())
             assert q.variant is p.variant and q.features == p.features
             assert q.weights["w1"].shape == (len(features), 2)
-            data = Dataset({"W": np.array([0.2, 1.4])}, np.array(["test", "test"]))
+            data = Dataset({"W": np.array([0.2, 1.4])}, (("test", 2),))
             assert np.allclose(p.predict(data), q.predict(data))

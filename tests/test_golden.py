@@ -16,9 +16,16 @@ import json
 import pytest
 
 from .golden import regenerate
-from .golden.regenerate import GOLDENS, GRAPHS, compare, graph_changes, graph_records, main, run_golden
-
-TOLERANCE = 1e-9
+from .golden.regenerate import (
+    GOLDENS,
+    GRAPHS,
+    TOLERANCE,
+    compare,
+    graph_changes,
+    graph_records,
+    main,
+    run_golden,
+)
 
 
 @pytest.mark.parametrize("name", GOLDENS)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairmpdag import fair_train, harness
-from fairmpdag.fair_train import TrainConfig, Variant
+from fairmpdag.fair_train import TrainConfig, Variant, evaluate
 from fairmpdag.harness import (
     ExperimentConfig,
     GraphSetting,
@@ -592,6 +592,22 @@ class TestRunGraph:
         assert _graph_files(out) == {
             name: text.encode() for name, text in finished_files.items()
         }
+
+
+def test_runs_leave_the_case_data_unwritten():
+    # every split a run reads is a view of the case's columns, so a run that
+    # wrote into its rows would change the data of every later run
+    cfg = small_config()
+    case = build_case(cfg, 0, 0)
+    datasets = [case.obs] + [s.data for s in case.train_sets + case.truth_sets]
+
+    def snapshot():
+        return [{name: col.tobytes() for name, col in d.columns.items()} for d in datasets]
+
+    before = snapshot()
+    _, model = run_case(cfg, case, Variant.EPS_IFAIR, 5.0, 0)
+    evaluate(model, case.obs.subset("test"), case.truth_sets, outcome=case.outcome)
+    assert snapshot() == before
 
 
 def test_penalised_run_never_takes_the_exact_kernel(monkeypatch):

@@ -21,9 +21,15 @@ from fairmpdag import (
     sample_interventional_truth,
     sample_observational,
 )
-from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, child_rng, sigmoid, split_tags
+from fairmpdag.scm_lab import MECHANISMS, SPLIT_82, SPLIT_811, child_rng, sigmoid, split_rows
 
-from .oracles import listed_er_dag, permutation_null_quantile, two_branch_sample
+from .oracles import (
+    listed_er_dag,
+    masked_subset,
+    permutation_null_quantile,
+    split_tags,
+    two_branch_sample,
+)
 
 
 # identity mechanisms for the two-vertex graph A -> X
@@ -173,7 +179,7 @@ class TestInterventionalTruth:
     def test_protocol_sizes(self):
         scm = two_vertex_scm()
         data = sample_interventional_truth(scm, {"A": 0.0}, 1000, seed=37)
-        assert data.n == 1000 and set(data.split) == {"test"}
+        assert data.n == 1000 and data.split == (("test", 1000),)
 
     def test_sink_intervention_leaves_other_marginals(self):
         scm = two_vertex_scm(beta=0.5)
@@ -293,22 +299,60 @@ def test_samples_bit_identical_to_two_branch_reference(kind, d, edge_share, seed
             assert data.columns[v].tobytes() == expected[v].tobytes(), v
 
 
+# each split scheme with the smallest n that leaves none of its runs empty
+SCHEMES = {SPLIT_811: 10, SPLIT_82: 5, (("test", 1),): 1}
+
+
 class TestDataset:
-    def test_split_tags_82(self):
-        tags = split_tags(1000, SPLIT_82)
-        assert (tags == "train").sum() == 800 and (tags == "val").sum() == 200
+    def test_split_rows_82(self):
+        assert split_rows(1000, SPLIT_82) == (("train", 800), ("val", 200))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(SCHEMES)), st.data())
+    def test_runs_match_per_row_tags(self, scheme, draw):
+        n = draw.draw(st.integers(SCHEMES[scheme], 20_000), label="n")
+        tags = split_tags(n, scheme)
+        runs = split_rows(n, scheme)
+        assert [t for t, _ in runs] == [t for t, _ in scheme]
+        assert np.array_equal(np.repeat([t for t, _ in runs], [c for _, c in runs]), tags)
+        rng = np.random.default_rng(n)
+        columns = {"a": rng.standard_normal(n), "b": rng.integers(0, 3, n).astype(float)}
+        data = Dataset(columns, runs)
+        for tag, _ in scheme:
+            got, want = data.subset(tag), masked_subset(columns, tags, tag)
+            assert got.split == ((tag, len(want["a"])),) and got.n > 0
+            for name, col in want.items():
+                assert got.columns[name].tobytes() == col.tobytes()
+                assert np.shares_memory(got.columns[name], columns[name])
+
+    def test_repeated_tag_rejected(self):
+        with pytest.raises(ValueError, match="^split 'train' appears more than once$"):
+            Dataset({"a": np.zeros(4)}, (("train", 2), ("val", 0), ("train", 2)))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="^split 'val' has a negative row count -1$"):
+            Dataset({"a": np.zeros(3)}, (("train", 4), ("val", -1)))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset({"a": np.zeros(3)}, np.array(["train"] * 4))
+        with pytest.raises(ValueError, match="^column 'a' has 3 rows; the split sums to 4$"):
+            Dataset({"a": np.zeros(3)}, (("train", 4),))
+
+    def test_absent_tag_rejected(self):
+        data = Dataset({"a": np.zeros(3)}, (("train", 2), ("val", 1)))
+        with pytest.raises(ValueError, match=r"^no split 'test' among \['train', 'val'\]$"):
+            data.subset("test")
+
+    def test_empty_run_gives_empty_subset(self):
+        data = Dataset({"a": np.arange(9.0)}, split_rows(9, SPLIT_811))
+        assert data.split == (("train", 9), ("val", 0), ("test", 0))
+        assert data.subset("val").n == 0 and len(data.subset("test").columns["a"]) == 0
 
     def test_matrix_column_order(self):
         d = Dataset(
-            {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])},
-            np.array(["train", "train"]),
+            {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}, (("train", 2),)
         )
         assert np.array_equal(d.matrix(["b", "a"]), np.array([[3.0, 1.0], [4.0, 2.0]]))
 
     def test_matrix_of_no_columns_keeps_rows(self):
-        d = Dataset({"a": np.array([1.0, 2.0])}, np.array(["train", "val"]))
+        d = Dataset({"a": np.array([1.0, 2.0])}, (("train", 1), ("val", 1)))
         assert d.matrix(()).shape == (2, 0)
