@@ -54,6 +54,7 @@ import enum
 import functools
 import json
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import groupby
@@ -74,21 +75,15 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    hidden_width: int = 32
-    lr: float = 1e-2
-    momentum: float = 0.9
     epochs: int = 2000
     patience: int = 100
     lambda_grid: tuple[float, ...] = (0.0, 0.5, 5.0, 20.0, 60.0, 100.0)
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        _check_int("hidden_width", self.hidden_width, 1)
         _check_int("epochs", self.epochs, 1)
         _check_int("patience", self.patience, 0)
-        lr, momentum, grid, seeds = self.lr, self.momentum, self.lambda_grid, self.seeds
-        _check("lr", lr, _is_finite(lr) and lr > 0, "a positive finite number")
-        _check("momentum", momentum, _is_finite(momentum) and 0 <= momentum < 1, "in [0, 1)")
+        grid, seeds = self.lambda_grid, self.seeds
         ok = isinstance(grid, tuple) and grid and all(_is_finite(x) and x >= 0 for x in grid)
         ok = ok and len(set(grid)) == len(grid)  # 0 and 0.0 are one value
         _check("lambda_grid", grid, ok, "a nonempty list of distinct finite numbers >= 0")
@@ -98,10 +93,10 @@ class TrainConfig:
 
 
 def _is_finite(value) -> bool:
-    """True for a finite int or float, numpy scalars included; bools and
-    strings are not numbers here."""
+    """True for a finite int or float, numpy scalars included, but not a bool. NaN
+    and an int past the float range (JSON allows any; the compare is exact) fail."""
     number = isinstance(value, (int, float, np.integer, np.floating))
-    return number and not isinstance(value, bool) and math.isfinite(value)
+    return number and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _check(name: str, value, ok, rule: str) -> None:
@@ -110,8 +105,11 @@ def _check(name: str, value, ok, rule: str) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def _check_int(name: str, value, low: int) -> None:
-    _check(name, value, type(value) is int and value >= low, f"an integer >= {low}")
+def _check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject all but an int (not a bool) in [low, high], or >= low without ``high``."""
+    ok = type(value) is int and value >= low and (high is None or value <= high)
+    rule = f"an integer >= {low}" if high is None else f"an integer in [{low}, {high}]"
+    _check(name, value, ok, rule)
 
 
 def _check_bandwidth(name: str, value) -> None:
@@ -516,6 +514,11 @@ def admissible_intervention_values(
 
 # -- network ---------------------------------------------------------------------
 
+# Every run trains this many tanh units with this gradient step and momentum.
+_HIDDEN_WIDTH = 32
+_LEARNING_RATE = 1e-2
+_MOMENTUM = 0.9
+
 
 def _init_params(n_in: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     return {
@@ -640,7 +643,8 @@ def train_predictor(
     penalty on the validation rows of each interventional dataset). The
     penalty's bandwidth is the median heuristic on each cell; training
     stops after ``config.patience`` epochs without improvement and the best
-    parameters are returned. Deterministic for a fixed seed.
+    parameters are returned; a NaN or infinite training or validation
+    objective raises a ``ValueError``. Deterministic for a fixed seed.
     """
     admissible = tuple(admissible)
     features = feature_set(variant, graph, sensitive, admissible)
@@ -653,20 +657,23 @@ def train_predictor(
     x_val, val_cells = _stack(obs_val.matrix(features), sets, features, "val")
 
     rng = child_rng(seed, 8)
-    params = _init_params(len(features), config.hidden_width, rng)
+    params = _init_params(len(features), _HIDDEN_WIDTH, rng)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     best = {k: v.copy() for k, v in params.items()}
     best_val = np.inf
     best_epoch = 0
     stale = 0
     for epoch in range(config.epochs):
-        _, grads = _objective_and_grads(params, x_train, y_train, train_cells, lam, "median")
+        value, grads = _objective_and_grads(params, x_train, y_train, train_cells, lam, "median")
         for k in params:
-            velocity[k] = config.momentum * velocity[k] - config.lr * grads[k]
+            velocity[k] = _MOMENTUM * velocity[k] - _LEARNING_RATE * grads[k]
             params[k] = params[k] + velocity[k]
         val_value, _ = _objective_and_grads(
             params, x_val, y_val, val_cells, lam, "median", want_grads=False
         )
+        for name, v in (("training", value), ("validation", val_value)):
+            if not math.isfinite(v):  # epochs count from 1, as best_epoch does
+                raise ValueError(f"{name} objective is {v!r} at epoch {epoch + 1}")
         if val_value < best_val - 1e-12:
             best_val = val_value
             best = {k: v.copy() for k, v in params.items()}
@@ -676,15 +683,8 @@ def train_predictor(
             stale += 1
             if stale > config.patience:
                 break
-    return FairPredictor(
-        variant=variant,
-        features=features,
-        admissible=admissible,
-        weights=best,
-        lam=lam,
-        seed=seed,
-        best_epoch=best_epoch,
-    )
+    return FairPredictor(variant=variant, features=features, admissible=admissible,
+                         weights=best, lam=lam, seed=seed, best_epoch=best_epoch)
 
 
 def evaluate(

@@ -14,8 +14,10 @@ finite is a failure, never a row.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -71,17 +73,11 @@ class GraphSetting:
     admissible_count: int = 0
 
     def __post_init__(self):
-        # at least the outcome and the sensitive vertex
-        _check("d", self.d, type(self.d) is int and 2 <= self.d <= MAX_D,
-               f"an integer in [2, {MAX_D}]")
-        most = self.d * (self.d - 1) // 2
-        ok = type(self.s) is int and 0 <= self.s <= most
-        _check("s", self.s, ok, f"an integer in [0, {most}]")
+        _check_int("d", self.d, 2, MAX_D)  # at least the outcome and the sensitive vertex
+        _check_int("s", self.s, 0, self.d * (self.d - 1) // 2)
         _check_int("count", self.count, 1)
         # every vertex but the outcome and the sensitive one may be admissible
-        k, pool = self.admissible_count, self.d - 2
-        ok = type(k) is int and 0 <= k <= pool
-        _check("admissible_count", k, ok, f"an integer in [0, {pool}]")
+        _check_int("admissible_count", self.admissible_count, 0, self.d - 2)
 
     @property
     def label(self) -> str:
@@ -135,13 +131,11 @@ class ExperimentConfig:
         raw = json.loads(text, object_pairs_hook=_JsonObject)
         cfg = _load(cls, raw, "config", graph_settings=[GraphSetting], train=TrainConfig)
         if cfg.cpdag_dir is not None:
-            paths = [Path(cfg.cpdag_dir)] + [
-                cfg.cpdag_path(i, gid)
-                for i, setting in enumerate(cfg.graph_settings)
-                for gid in range(setting.count)
-            ]
-            for path in paths:
-                if not path.exists():
+            # the directory, then each file up to the first missing one
+            files = (cfg.cpdag_path(i, gid) for i, setting in enumerate(cfg.graph_settings)
+                     for gid in range(setting.count))
+            for path in itertools.chain([Path(cfg.cpdag_dir)], files):
+                if not os.path.exists(path):  # False, not an error, for a bad name
                     raise ValueError(f"config: cpdag_dir: no such file or directory '{path}'")
         return cfg
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -217,6 +218,25 @@ def test_experiment_bad_config_names_file(tmp_path, text, named):
     message = str(exc.value)
     assert message.startswith(f"{config}: ") and named in message
     assert not (tmp_path / "out").exists()  # rejected before the sweep starts
+
+
+def test_experiment_diverged_runs_are_train_failures(tmp_path):
+    # the objective overflows at these lambdas; such a run stops and writes nothing
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph_settings": [{"d": 6, "s": 6, "count": 1}],
+        "train": {"lambda_grid": [1e300, 1e308], "epochs": 50},
+    }))
+    out = tmp_path / "out"
+    assert main(["experiment", str(config), "--out", str(out)]) == 2
+    rows = list(csv.DictReader((out / "tradeoff.csv").read_text().splitlines()))
+    assert [r["model"] for r in rows] == ["full", "unaware", "ifair"]
+    failures = list(csv.DictReader((out / "failures.csv").read_text().splitlines()))
+    assert [(f["model"], f["lambda"], f["stage"], f["error"]) for f in failures] == [
+        ("eps_ifair", lam, "train", "validation objective is inf at epoch 1")
+        for lam in ("1e+300", "1e+308")
+    ]
+    assert not list(out.glob("*/*eps_ifair*"))
 
 
 def test_missing_file_names_file(tmp_path):

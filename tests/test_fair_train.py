@@ -576,13 +576,20 @@ class TestTraining:
             graph=scm.dag,
             sensitive="A",
             outcome="X",
-            config=TrainConfig(epochs=60, patience=30, hidden_width=8),
+            config=TrainConfig(epochs=60, patience=30),
             seed=7,
         )
         eps = train_predictor(Variant.EPS_IFAIR, 0.0, obs, [], **kw)
         full = train_predictor(Variant.FULL, 0.0, obs, [], **kw)
         assert eps.features == full.features
         assert all(np.array_equal(eps.weights[k], full.weights[k]) for k in eps.weights)
+
+    def test_non_finite_objective_stops_the_run(self):
+        scm, obs, _ = self._setup()
+        obs.columns["X"][0] = np.nan  # a training row
+        with pytest.raises(ValueError, match=r"^training objective is nan at epoch 1$"):
+            train_predictor(Variant.FULL, 0.0, obs, [], graph=scm.dag, sensitive="A",
+                            outcome="X", config=TrainConfig(epochs=5), seed=0)
 
     def test_training_learns_the_map(self):
         scm, obs, _ = self._setup(beta=0.9, n=600)
@@ -891,12 +898,12 @@ class TestHelpers:
                 assert got == triu_median_bandwidth(v), (case, n)
 
     def test_train_config_from_json(self):
-        cfg = train_from_json('{"hidden_width": 8, "lambda_grid": [0, 1.5]}')
-        assert cfg.hidden_width == 8 and cfg.lambda_grid == (0, 1.5)
+        cfg = train_from_json('{"patience": 8, "lambda_grid": [0, 1.5]}')
+        assert cfg.patience == 8 and cfg.lambda_grid == (0, 1.5)
         assert type(cfg.lambda_grid[0]) is int  # run names keep "lam0"
-        assert cfg.lr == TrainConfig().lr
+        assert cfg.epochs == TrainConfig().epochs
         with pytest.raises(ValueError, match="train: unknown key 'ignored'"):
-            train_from_json('{"hidden_width": 8, "ignored": 3}')
+            train_from_json('{"patience": 8, "ignored": 3}')
 
     @pytest.mark.parametrize("mode", ['"mediam"', '"1.5"', "0", "-2.0", "true", "NaN", "Infinity"])
     def test_train_config_rejects_bad_bandwidth_mode(self, mode):

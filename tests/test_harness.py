@@ -1,10 +1,16 @@
 import csv
+import dataclasses
 import io
 import json
+import re
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmpdag import fair_train, harness
 from fairmpdag.fair_train import TrainConfig, Variant, evaluate
@@ -240,15 +246,9 @@ BAD_CONFIGS = [
         "graph_settings[0]: admissible_count must be an integer in [0, 3]",
     ),
     (config_json(setting={"admissible_count": 3}), "graph_settings[0]: admissible_count must be"),
-    (config_json(train={"hidden_width": 0}), "train: hidden_width must be"),
     (config_json(train={"epochs": 0}), "train: epochs must be"),
     (config_json(train={"epochs": True}), "train: epochs must be"),
     (config_json(train={"epochs": 30.0}), "train: epochs must be"),
-    (config_json(train={"lr": -1}), "train: lr must be"),
-    (config_json(train={"lr": 0}), "train: lr must be"),
-    (config_json(train={"lr": float("inf")}), "train: lr must be"),
-    (config_json(train={"momentum": 1}), "train: momentum must be"),
-    (config_json(train={"momentum": -0.1}), "train: momentum must be"),
     (config_json(train={"patience": -1}), "train: patience must be"),
     (config_json(train={"lambda_grid": []}), "train: lambda_grid must be"),
     (config_json(train={"lambda_grid": [0, -1]}), "train: lambda_grid must be"),
@@ -256,12 +256,19 @@ BAD_CONFIGS = [
     (config_json(train={"lambda_grid": 5}), "train: lambda_grid must be"),
     (config_json(train={"lambda_grid": [0.5, 0.5]}), "train: lambda_grid must be"),
     (config_json(train={"lambda_grid": [0, 5, 0.0]}), "train: lambda_grid must be"),
+    # JSON allows an int past the float range; it is not a finite number
+    (config_json(train={"lambda_grid": [0, 10**400]}), "train: lambda_grid must be"),
+    (config_json(bk_fraction=10**400), "config: bk_fraction must be"),
     (config_json(train={"seeds": []}), "train: seeds must be"),
     # the binary-outcome mode is gone, and its key with it
     (config_json(train={"binary_outcome": False}), "train: unknown key 'binary_outcome'"),
     # training always takes the median-heuristic bandwidth, and the key is gone
     (config_json(train={"bandwidth_mode": "median"}), "train: unknown key 'bandwidth_mode'"),
     (config_json(train={"bandwidth_mode": 2}), "train: unknown key 'bandwidth_mode'"),
+    # every run trains the same network and optimiser, and their keys are gone
+    (config_json(train={"hidden_width": 32}), "train: unknown key 'hidden_width'"),
+    (config_json(train={"lr": 0.01}), "train: unknown key 'lr'"),
+    (config_json(train={"momentum": 0.9}), "train: unknown key 'momentum'"),
 ]
 
 
@@ -276,6 +283,84 @@ def test_bad_config_names_section_and_key(text, message):
     with pytest.raises(ValueError) as exc:
         ExperimentConfig.from_json(text)
     assert str(exc.value).startswith(message)
+
+
+def readme_config() -> str:
+    """The README's example experiment config: its one JSON block with graph settings."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (text,) = [b for b in re.findall(r"```json\n(.*?)```", readme, re.S) if "graph_settings" in b]
+    return text
+
+
+def test_readme_example_config_loads_and_spells_out_the_defaults():
+    cfg = ExperimentConfig.from_json(readme_config())
+    assert cfg == ExperimentConfig(graph_settings=(GraphSetting(d=10, s=20, count=10),))
+
+
+SECTIONS = {"config": ExperimentConfig, "train": TrainConfig, "graph_settings": GraphSetting}
+# any JSON value, with ints past the float range and the schema's own keys
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=12) | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from([f.name for cls in SECTIONS.values() for f in dataclasses.fields(cls)])
+        | st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _positions(raw, path=()):
+    """The path of every value in the parsed JSON ``raw``, the root included."""
+    yield path
+    if isinstance(raw, (dict, list)):
+        for key, value in raw.items() if isinstance(raw, dict) else enumerate(raw):
+            yield from _positions(value, path + (key,))
+
+
+def _replaced(raw, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(raw))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_mutated_config_loads_or_names_section_and_key(data):
+    raw = json.loads(readme_config())
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_positions(raw))))
+        raw = _replaced(raw, path, data.draw(JSON_VALUES))
+    try:
+        ExperimentConfig.from_json(json.dumps(raw))
+    except ValueError as exc:  # any other exception fails the test
+        message = str(exc)
+        found = re.match(r"(config|train|graph_settings)(?:\[\d+\])?: (\w+)", message)
+        assert found, message
+        section, word = found.groups()
+        keys = {f.name for f in dataclasses.fields(SECTIONS[section])}
+        whole = re.match(r"\S+ (expected an object|(unknown|missing|repeated) key ')", message)
+        assert word in keys or whole, message
+
+
+@pytest.mark.parametrize("cpdag_dir, missing", [("none", "none"), (".", "4nodes3edges_g0.graph")])
+def test_cpdag_dir_check_stops_at_the_first_missing_path(tmp_path, cpdag_dir, missing):
+    # listing 10^9 file names first would take hours
+    text = config_json(setting={"count": 10**9}, cpdag_dir=str(tmp_path / cpdag_dir))
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_json(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == f"config: cpdag_dir: no such file or directory '{tmp_path / missing}'"
+
+
+def test_cpdag_dir_name_too_long_for_the_system_is_a_message():
+    with pytest.raises(ValueError, match="config: cpdag_dir: no such file or directory"):
+        ExperimentConfig.from_json(config_json(cpdag_dir="a" * 300))
 
 
 def test_size_bounds_hold_at_their_limits():
